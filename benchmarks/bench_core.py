@@ -94,12 +94,13 @@ def test_weak_adversary_estimate_generic(benchmark):
 
 def test_weak_adversary_estimate_vectorized(benchmark):
     """numpy path: 100k sampled runs in one shot."""
-    from repro.analysis.fast_mc import fast_protocol_s_weak_estimate
+    import numpy as np
+
+    from repro.engine import Engine
 
     benchmark.pedantic(
-        fast_protocol_s_weak_estimate,
-        args=(12, 0.1, 0.2),
-        kwargs={"samples": 100_000, "seed": 0},
+        Engine().pair_weak_estimate_s,
+        args=(12, 0.1, 0.2, 100_000, np.random.default_rng(0)),
         rounds=1,
         iterations=1,
     )

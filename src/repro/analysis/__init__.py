@@ -22,12 +22,6 @@ from .knowledge import (
     KnowledgeModel,
     check_level_knowledge_equivalence,
 )
-from .fast_mc import (
-    PairCounts,
-    fast_protocol_s_weak_estimate,
-    fast_protocol_w_weak_estimate,
-    simulate_pair_counts,
-)
 from .independence import (
     JointDecision,
     joint_decision_distribution,
@@ -55,7 +49,6 @@ __all__ = [
     "FLOAT_TOLERANCE",
     "JointDecision",
     "KnowledgeModel",
-    "PairCounts",
     "PlacementScore",
     "Series",
     "Table",
@@ -63,8 +56,6 @@ __all__ = [
     "UsualCaseAssumption",
     "best_coordinator",
     "check_level_knowledge_equivalence",
-    "fast_protocol_s_weak_estimate",
-    "fast_protocol_w_weak_estimate",
     "first_lower_bound",
     "joint_decision_distribution",
     "lemma_6_1_holds",
@@ -80,7 +71,6 @@ __all__ = [
     "s_liveness",
     "s_unsafety_bound",
     "sample_mean_interval",
-    "simulate_pair_counts",
     "satisfies_first_lower_bound",
     "second_lower_bound_ceiling",
     "section_8_requirements_table",

@@ -11,8 +11,10 @@ Public surface:
   (:class:`ShardLocalCache`);
 * :func:`default_engine` — the process-wide engine that
   :func:`repro.core.probability.evaluate_many` delegates to;
-* :mod:`repro.engine.vectorized` — the numpy batch kernels, including
-  the two-general fast paths that ``analysis.fast_mc`` now wraps.
+* :mod:`repro.engine.vectorized` — the numpy batch kernels: one
+  rule-driven counting kernel for the whole Figure-1 family, plus the
+  two-general fast paths behind :meth:`Engine.pair_weak_estimate_s` /
+  :meth:`Engine.pair_weak_estimate_w`.
 """
 
 from .cache import EngineCache, InProcessCache, ShardLocalCache

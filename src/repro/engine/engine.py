@@ -98,17 +98,11 @@ CACHEABLE_QUALNAMES: Tuple[str, ...] = (
     "repro.engine.vectorized.evaluate_packed_batch",
     "repro.meanfield.evaluate.evaluate_counter",
     "repro.meanfield.evaluate.evaluate_spec",
-    "repro.protocols.ablations.NaiveCountingS.closed_form_probabilities",
-    "repro.protocols.ablations.SkewedS.closed_form_probabilities",
+    "repro.protocols.counting.CountingProtocol.closed_form_probabilities",
     "repro.protocols.deterministic.DeterministicProtocol.closed_form_probabilities",
-    "repro.protocols.message_validity.MessageValidityS.closed_form_probabilities",
     "repro.protocols.protocol_a.ProtocolA.closed_form_probabilities",
     "repro.protocols.protocol_m.ProtocolM.closed_form_probabilities",
-    "repro.protocols.protocol_s.ProtocolS.closed_form_probabilities",
     "repro.protocols.repeated_a.RepeatedA.closed_form_probabilities",
-    "repro.protocols.variants.EagerS.closed_form_probabilities",
-    "repro.protocols.variants.GreedyS.closed_form_probabilities",
-    "repro.protocols.weak_adversary.ProtocolW.closed_form_probabilities",
 )
 
 # Under ``auto``, batches smaller than this stay on the reference path:

@@ -8,6 +8,11 @@
   proves cannot beat the tradeoff.
 * :class:`ProtocolW` — our reconstruction of the Section 8 weak-
   adversary protocol (deterministic level threshold).
+* :class:`EagerS`, :class:`GreedyS`, :class:`MessageValidityS`,
+  :class:`NaiveCountingS`, :class:`SkewedS` — the Appendix A and
+  footnote-1 probes; with S and W they form the Figure-1 counting
+  family (:mod:`repro.protocols.counting`: one rule-driven machine,
+  one closed form).
 * :class:`ProtocolM` — simple-majority consensus (PAPERS.md
   substitution) for the large-m / mean-field regime.
 * deterministic baselines (:mod:`repro.protocols.deterministic`) for
@@ -15,12 +20,14 @@
 * executable Lemma 6.3 invariants (:mod:`repro.protocols.invariants`).
 """
 
-from .ablations import (
-    NaiveCountingS,
-    SkewedS,
-    threshold_probabilities_with_cdf,
+from .ablations import NaiveCountingS, SkewedS
+from .counting import (
+    CountingLocal,
+    CountingMessage,
+    CountingProtocol,
+    CountingRule,
+    CountingState,
 )
-from .counting import CountingLocal, CountingMessage, CountingState
 from .deterministic import (
     AlwaysAttack,
     DeterministicProtocol,
@@ -40,12 +47,7 @@ from .protocol_a import APacket, AState, ProtocolA, sender_for_round
 from .protocol_m import MState, ProtocolM
 from .protocol_s import ProtocolS
 from .repeated_a import COMBINERS, RepeatedA
-from .variants import (
-    EagerS,
-    GreedyS,
-    XorCoin,
-    rfire_threshold_probabilities,
-)
+from .variants import EagerS, GreedyS, XorCoin
 from .weak_adversary import ProtocolW
 
 __all__ = [
@@ -55,6 +57,8 @@ __all__ = [
     "COMBINERS",
     "CountingLocal",
     "CountingMessage",
+    "CountingProtocol",
+    "CountingRule",
     "CountingState",
     "DeterministicProtocol",
     "EagerS",
@@ -77,7 +81,5 @@ __all__ = [
     "check_invariants",
     "deterministic_threshold",
     "impossibility_suite",
-    "rfire_threshold_probabilities",
-    "threshold_probabilities_with_cdf",
     "sender_for_round",
 ]

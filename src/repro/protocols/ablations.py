@@ -24,195 +24,25 @@ message flow stays tape-independent).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core.probability import EventProbabilities
-from ..core.protocol import ClosedFormProtocol, LocalProtocol, ReceivedMessage
-from ..core.randomness import ConstantTape, TapeDistribution, TapeSpace
-from ..core.run import Run
-from ..core.topology import Topology
-from ..core.types import ProcessId, Round
-from .counting import CountingMessage, CountingState
-
-_PLACEHOLDER_RFIRE = 1.0
-
-
-def threshold_probabilities_with_cdf(
-    thresholds: Sequence[float], cdf: Callable[[float], float]
-) -> EventProbabilities:
-    """Event probabilities for attack-iff-``rfire <= a_i`` under any law.
-
-    Generalizes the uniform helper: ``Pr[D_i] = cdf(a_i)``; total
-    attack follows the minimum threshold, no-attack the maximum.
-    """
-    pr_attack = [min(1.0, max(0.0, cdf(max(0.0, a)))) for a in thresholds]
-    pr_ta = min(pr_attack)
-    pr_na = 1.0 - max(pr_attack)
-    pr_pa = max(0.0, 1.0 - pr_ta - pr_na)
-    return EventProbabilities(
-        pr_total_attack=pr_ta,
-        pr_no_attack=pr_na,
-        pr_partial_attack=pr_pa,
-        pr_attack=tuple(pr_attack),
-        method="closed-form",
-    )
-
-
-class _NaiveCountingLocal(LocalProtocol):
-    """Figure 1 without the ``seen`` set: hear one, advance."""
-
-    def __init__(self, process: ProcessId, coordinator: ProcessId) -> None:
-        self._process = process
-        self._coordinator = coordinator
-
-    def initial_state(self, got_input: bool, tape: object) -> CountingState:
-        if self._process == self._coordinator and tape is not None:
-            rfire: Optional[float] = float(tape)
-        else:
-            rfire = None
-        counting = got_input and rfire is not None
-        return CountingState(
-            count=1 if counting else 0,
-            rfire=rfire,
-            seen=frozenset(),
-            valid=got_input,
-        )
-
-    def transition(
-        self,
-        state: CountingState,
-        round_number: Round,
-        received: Sequence[ReceivedMessage],
-        tape: object,
-    ) -> CountingState:
-        payloads = [message.payload for message in received]
-        rfire = state.rfire
-        valid = state.valid
-        count = state.count
-        if rfire is None:
-            for payload in payloads:
-                if payload.rfire is not None:
-                    rfire = payload.rfire
-                    break
-        if not valid and any(payload.valid for payload in payloads):
-            valid = True
-        if valid and rfire is not None and count == 0:
-            count = 1
-        if count >= 1 and payloads:
-            highcount = max(payload.count for payload in payloads)
-            count = max(count, highcount)
-            # The ablated advance rule: any peer at my level suffices.
-            if any(payload.count == count for payload in payloads):
-                count += 1
-        return CountingState(
-            count=count, rfire=rfire, seen=frozenset(), valid=valid
-        )
-
-    def message(
-        self, state: CountingState, neighbor: ProcessId
-    ) -> Optional[CountingMessage]:
-        return CountingMessage(
-            rfire=state.rfire,
-            count=state.count,
-            seen=state.seen,
-            valid=state.valid,
-        )
-
-    def output(self, state: CountingState) -> bool:
-        return state.rfire is not None and state.count >= state.rfire
+from ..core.types import ProcessId
+from .counting import SQUARED, CountingProtocol
 
 
 @dataclass(frozen=True)
-class _RfireSquaredTape(TapeDistribution):
-    """``rfire = t · V²`` with ``V ~ U(0, 1]`` — skewed toward zero."""
-
-    top: float
-
-    def sample(self, rng) -> float:
-        unit = 1.0 - rng.random()  # (0, 1]
-        return self.top * unit * unit
-
-
-def _uniform_rfire_space(
-    topology: Topology, coordinator: ProcessId, distribution: TapeDistribution
-) -> TapeSpace:
-    distributions: Dict[ProcessId, TapeDistribution] = {
-        i: ConstantTape() for i in topology.processes
-    }
-    distributions[coordinator] = distribution
-    return TapeSpace.from_dict(distributions)
-
-
-@dataclass(frozen=True)
-class NaiveCountingS(ClosedFormProtocol):
+class NaiveCountingS(CountingProtocol):
     """Protocol S with the ``seen`` set ablated (see module docstring)."""
 
     epsilon: float
     coordinator: ProcessId = 1
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"naive-counting-S(eps={self.epsilon:g})"
-
-    @property
-    def threshold(self) -> float:
-        return 1.0 / self.epsilon
-
-    def supports_topology(self, topology: Topology) -> bool:
-        return self.coordinator <= topology.num_processes
-
-    def local_protocol(
-        self, process: ProcessId, topology: Topology
-    ) -> LocalProtocol:
-        return _NaiveCountingLocal(process, self.coordinator)
-
-    def tape_space(self, topology: Topology) -> TapeSpace:
-        from ..core.randomness import UniformRealTape
-
-        return _uniform_rfire_space(
-            topology, self.coordinator, UniformRealTape(0.0, self.threshold)
-        )
-
-    def final_counts(self, topology: Topology, run: Run) -> Dict[ProcessId, int]:
-        """The (tape-independent) naive counts at the horizon."""
-        from ..core.execution import execute
-
-        execution = execute(
-            self, topology, run, {self.coordinator: _PLACEHOLDER_RFIRE}
-        )
-        return {
-            process: execution.local(process).states[-1].count
-            for process in topology.processes
-        }
-
-    def closed_form_probabilities(
-        self, topology: Topology, run: Run
-    ) -> EventProbabilities:
-        from ..core.execution import execute
-
-        execution = execute(
-            self, topology, run, {self.coordinator: _PLACEHOLDER_RFIRE}
-        )
-        thresholds: List[float] = []
-        for process in topology.processes:
-            state: CountingState = execution.local(process).states[-1]
-            thresholds.append(
-                0.0 if state.rfire is None else float(state.count)
-            )
-        t = self.threshold
-        return threshold_probabilities_with_cdf(
-            thresholds, lambda c: min(1.0, c / t)
-        )
+    label = "naive-counting-S"
+    advance_on_any = True
 
 
 @dataclass(frozen=True)
-class SkewedS(ClosedFormProtocol):
+class SkewedS(CountingProtocol):
     """Protocol S with a non-uniform ``rfire`` law (see module docstring).
 
     Counting is the faithful Figure 1 machine; only the draw changes:
@@ -222,56 +52,5 @@ class SkewedS(ClosedFormProtocol):
     epsilon: float
     coordinator: ProcessId = 1
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"skewed-S(eps={self.epsilon:g})"
-
-    @property
-    def threshold(self) -> float:
-        return 1.0 / self.epsilon
-
-    def cdf(self, value: float) -> float:
-        """``Pr[rfire <= value] = sqrt(value / t)`` clipped to [0, 1]."""
-        if value <= 0.0:
-            return 0.0
-        return min(1.0, math.sqrt(value / self.threshold))
-
-    def supports_topology(self, topology: Topology) -> bool:
-        return self.coordinator <= topology.num_processes
-
-    def local_protocol(
-        self, process: ProcessId, topology: Topology
-    ) -> LocalProtocol:
-        from .protocol_s import _ProtocolSLocal
-
-        return _ProtocolSLocal(
-            process=process,
-            all_processes=frozenset(topology.processes),
-            rfire_gated=True,
-            coordinator=self.coordinator,
-        )
-
-    def tape_space(self, topology: Topology) -> TapeSpace:
-        return _uniform_rfire_space(
-            topology, self.coordinator, _RfireSquaredTape(self.threshold)
-        )
-
-    def closed_form_probabilities(
-        self, topology: Topology, run: Run
-    ) -> EventProbabilities:
-        from ..core.execution import execute
-
-        execution = execute(
-            self, topology, run, {self.coordinator: _PLACEHOLDER_RFIRE}
-        )
-        thresholds: List[float] = []
-        for process in topology.processes:
-            state: CountingState = execution.local(process).states[-1]
-            thresholds.append(
-                0.0 if state.rfire is None else float(state.count)
-            )
-        return threshold_probabilities_with_cdf(thresholds, self.cdf)
+    label = "skewed-S"
+    law = SQUARED

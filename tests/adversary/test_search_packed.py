@@ -25,6 +25,13 @@ from repro.adversary.search import (
 from repro.core.run import good_run, random_run, run_space_size
 from repro.core.topology import Topology
 from repro.engine import Engine
+from repro.protocols import (
+    EagerS,
+    GreedyS,
+    MessageValidityS,
+    NaiveCountingS,
+    SkewedS,
+)
 from repro.protocols.protocol_s import ProtocolS
 from repro.protocols.weak_adversary import ProtocolW
 
@@ -40,6 +47,15 @@ INSTANCES = [
     (K3, 1, ProtocolS(epsilon=0.25)),
     (PATH3, 1, ProtocolS(epsilon=0.25)),
     (STAR4, 1, ProtocolW(2)),
+]
+
+# The Figure-1 variants share the kernel through their counting rule.
+VARIANT_INSTANCES = [
+    (PAIR, 2, EagerS(epsilon=0.25)),
+    (PATH3, 1, GreedyS(epsilon=0.2, slack=1)),
+    (K3, 1, MessageValidityS(epsilon=0.25)),
+    (STAR4, 1, NaiveCountingS(epsilon=0.25)),
+    (PAIR, 3, SkewedS(epsilon=0.25)),
 ]
 
 OBJECTIVES = [unsafety_objective, negated_liveness_objective]
@@ -161,7 +177,9 @@ class TestExhaustiveParity:
 
 
 class TestGreedyParity:
-    @pytest.mark.parametrize("topology, num_rounds, protocol", INSTANCES)
+    @pytest.mark.parametrize(
+        "topology, num_rounds, protocol", INSTANCES + VARIANT_INSTANCES
+    )
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_incremental_matches_legacy(
         self, topology, num_rounds, protocol, objective, vec_engine, ref_engine

@@ -1,4 +1,9 @@
-"""Equivalence tests: the vectorized pair recurrence vs the simulator."""
+"""Equivalence tests: the vectorized pair recurrence vs the simulator.
+
+The two-general kernels live in :mod:`repro.engine.vectorized`; the
+weak-adversary sweeps are reached through
+:meth:`Engine.pair_weak_estimate_s` / :meth:`Engine.pair_weak_estimate_w`.
+"""
 
 import random
 
@@ -6,13 +11,10 @@ import numpy as np
 import pytest
 
 from repro.adversary.weak import WeakAdversary, estimate_against_weak_adversary
-from repro.analysis.fast_mc import (
-    fast_protocol_s_weak_estimate,
-    fast_protocol_w_weak_estimate,
-    simulate_pair_counts,
-)
 from repro.core.execution import execute
 from repro.core.run import Run, random_run
+from repro.engine import Engine
+from repro.engine.vectorized import simulate_pair_counts
 from repro.protocols.protocol_s import ProtocolS
 from repro.protocols.weak_adversary import ProtocolW
 
@@ -56,6 +58,22 @@ class TestRecurrenceEquivalence:
             )
 
 
+def pair_weak_s(
+    num_rounds, epsilon, loss, samples=100_000, seed=0
+):
+    return Engine().pair_weak_estimate_s(
+        num_rounds, epsilon, loss, samples, np.random.default_rng(seed)
+    )
+
+
+def pair_weak_w(
+    num_rounds, threshold, loss, samples=100_000, seed=0
+):
+    return Engine().pair_weak_estimate_w(
+        num_rounds, threshold, loss, samples, np.random.default_rng(seed)
+    )
+
+
 class TestEstimatorEquivalence:
     def test_protocol_s_estimates_agree(self, pair):
         num_rounds, epsilon, loss = 10, 0.1, 0.2
@@ -67,7 +85,7 @@ class TestEstimatorEquivalence:
             samples=1_500,
             rng=random.Random(3),
         )
-        fast = fast_protocol_s_weak_estimate(
+        fast = pair_weak_s(
             num_rounds, epsilon, loss, samples=60_000, seed=3
         )
         assert fast.expected_liveness == pytest.approx(
@@ -87,7 +105,7 @@ class TestEstimatorEquivalence:
             samples=1_500,
             rng=random.Random(5),
         )
-        fast = fast_protocol_w_weak_estimate(
+        fast = pair_weak_w(
             num_rounds, threshold, loss, samples=60_000, seed=5
         )
         assert fast.expected_liveness == pytest.approx(
@@ -98,17 +116,17 @@ class TestEstimatorEquivalence:
         )
 
     def test_extremes(self):
-        lossless = fast_protocol_w_weak_estimate(8, 3, 0.0, samples=100)
+        lossless = pair_weak_w(8, 3, 0.0, samples=100)
         assert lossless.expected_liveness == 1.0
         assert lossless.expected_unsafety == 0.0
-        silent = fast_protocol_w_weak_estimate(8, 3, 1.0, samples=100)
+        silent = pair_weak_w(8, 3, 1.0, samples=100)
         assert silent.expected_liveness == 0.0
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
-            fast_protocol_s_weak_estimate(8, 0.0, 0.1)
+            pair_weak_s(8, 0.0, 0.1)
         with pytest.raises(ValueError):
-            fast_protocol_w_weak_estimate(8, 0, 0.1)
+            pair_weak_w(8, 0, 0.1)
 
     def test_exponential_decay_of_w_unsafety(self):
         # The §8 concentration claim at scale only numpy makes cheap:
@@ -116,7 +134,7 @@ class TestEstimatorEquivalence:
         loss = 0.4
         values = []
         for num_rounds in (12, 24, 48):
-            estimate = fast_protocol_w_weak_estimate(
+            estimate = pair_weak_w(
                 num_rounds, num_rounds // 3, loss, samples=200_000, seed=1
             )
             values.append(estimate.expected_unsafety)

@@ -18,7 +18,7 @@ from repro.core.randomness import (
     UniformIntTape,
     UniformRealTape,
 )
-from repro.protocols.ablations import _RfireSquaredTape
+from repro.protocols.counting import SquaredRfireTape
 
 
 SAMPLES = 20_000
@@ -79,7 +79,7 @@ class TestBitStringTape:
 
 class TestSkewedRfireTape:
     def test_matches_square_root_cdf(self):
-        tape = _RfireSquaredTape(top=4.0)
+        tape = SquaredRfireTape(top=4.0)
         rng = random.Random(42)
         draws = np.array([tape.sample(rng) for _ in range(SAMPLES)])
         assert draws.min() > 0.0

@@ -17,10 +17,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.packed import layout_for
 from repro.core.probability import evaluate
 from repro.core.run import Run, bernoulli_run, good_run
 from repro.core.topology import Topology
 from repro.engine import vectorized
+from repro.protocols import (
+    AlwaysAttack,
+    EagerS,
+    GreedyS,
+    InputAttack,
+    MessageValidityS,
+    NaiveCountingS,
+    ProtocolM,
+    RepeatedA,
+    SkewedS,
+)
 from repro.protocols.deterministic import NeverAttack
 from repro.protocols.protocol_a import ProtocolA
 from repro.protocols.protocol_s import ProtocolS
@@ -55,6 +67,13 @@ def _protocols_for(num_rounds: int):
         ProtocolS(epsilon=1.0 / max(1, num_rounds)),
         ProtocolW(1),
         ProtocolW(max(1, num_rounds // 2)),
+        EagerS(epsilon=0.3),
+        GreedyS(epsilon=0.2, slack=1),
+        GreedyS(epsilon=0.7, slack=2),
+        MessageValidityS(epsilon=0.25),
+        MessageValidityS(epsilon=0.5, coordinator=2),
+        NaiveCountingS(epsilon=0.25),
+        SkewedS(epsilon=0.3),
     ]
 
 
@@ -87,6 +106,23 @@ class TestBatchParity:
                     for run, got in zip(runs, actual):
                         assert got == evaluate(protocol, topology, run)
 
+    @given(pair=_topology_and_run())
+    @settings(max_examples=40, deadline=None)
+    def test_neighbor_batch_matches_reference(self, pair):
+        topology, run = pair
+        layout = layout_for(topology, run.num_rounds)
+        parent = layout.pack(run)
+        for protocol in _protocols_for(run.num_rounds):
+            if not vectorized.supports(protocol, topology):
+                continue
+            parent_result, by_bit = vectorized.evaluate_neighbor_batch(
+                protocol, topology, parent
+            )
+            assert parent_result == evaluate(protocol, topology, run)
+            for bit, result in enumerate(by_bit):
+                neighbor = layout.unpack_bits(parent.bits ^ (1 << bit))
+                assert result == evaluate(protocol, topology, neighbor)
+
     def test_batch_order_preserved(self):
         topology = Topology.pair()
         rng = random.Random(7)
@@ -102,6 +138,35 @@ class TestSupports:
         for topology in NAMED_TOPOLOGIES:
             assert vectorized.supports(ProtocolS(epsilon=0.5), topology)
             assert vectorized.supports(ProtocolW(2), topology)
+
+    def test_supports_the_counting_family(self):
+        for topology in NAMED_TOPOLOGIES:
+            for protocol in _protocols_for(4):
+                assert vectorized.supports(protocol, topology)
+
+    def test_rejects_protocols_outside_the_family(self):
+        pair = Topology.pair()
+        for protocol in (
+            ProtocolM(),
+            RepeatedA(4, copies=2),
+            AlwaysAttack(),
+            InputAttack(),
+        ):
+            assert not vectorized.supports(protocol, pair)
+
+    def test_rejects_variant_subclasses(self):
+        class TweakedGreedy(GreedyS):
+            pass
+
+        assert not vectorized.supports(
+            TweakedGreedy(epsilon=0.5), Topology.pair()
+        )
+        with pytest.raises(ValueError, match="not supported"):
+            vectorized.evaluate_batch(
+                TweakedGreedy(epsilon=0.5),
+                Topology.pair(),
+                [good_run(Topology.pair(), 2)],
+            )
 
     def test_rejects_other_protocols(self):
         pair = Topology.pair()

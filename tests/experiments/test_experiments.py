@@ -5,6 +5,8 @@ experiment's internal assertions mark the report failed on any
 violation, so ``report.passed`` is the reproduction verdict.
 """
 
+from functools import lru_cache
+
 import pytest
 
 from repro.experiments import Config, experiment_ids, run_experiment
@@ -12,15 +14,21 @@ from repro.experiments import Config, experiment_ids, run_experiment
 QUICK = Config(scale="quick", seed=0)
 
 
+@lru_cache(maxsize=None)
+def quick_report(experiment_id):
+    """One quick-scale run per experiment, shared by the checks below."""
+    return run_experiment(experiment_id, QUICK)
+
+
 @pytest.mark.parametrize("experiment_id", experiment_ids())
 def test_experiment_passes(experiment_id):
-    report = run_experiment(experiment_id, QUICK)
+    report = quick_report(experiment_id)
     assert report.passed, report.render()
 
 
 @pytest.mark.parametrize("experiment_id", experiment_ids())
 def test_experiment_produces_tables(experiment_id):
-    report = run_experiment(experiment_id, QUICK)
+    report = quick_report(experiment_id)
     assert report.tables, "experiment produced no tables"
     rendered = report.render()
     assert report.experiment_id in rendered

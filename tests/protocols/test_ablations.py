@@ -2,34 +2,39 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.measures import modified_level_profile
 from repro.core.probability import evaluate, monte_carlo_probabilities
 from repro.core.run import good_run, random_run, silent_run
 from repro.core.topology import Topology
-from repro.protocols.ablations import (
-    NaiveCountingS,
-    SkewedS,
-    threshold_probabilities_with_cdf,
-)
+from repro.protocols.ablations import NaiveCountingS, SkewedS
+from repro.protocols.counting import STEP, UNIFORM, CountingRule
 from repro.protocols.protocol_s import ProtocolS
+
+
+def _closed_form(rule, counts):
+    counts = np.array([counts], dtype=np.int64)
+    return rule.probabilities(counts, np.ones_like(counts, dtype=bool))[0]
 
 
 class TestCdfHelper:
     def test_uniform_cdf_matches_basic_helper(self):
-        from repro.protocols.variants import rfire_threshold_probabilities
-
-        thresholds = [3.0, 2.0]
+        thresholds = [3, 2]
         t = 8.0
-        general = threshold_probabilities_with_cdf(
-            thresholds, lambda c: min(1.0, c / t)
+        general = _closed_form(CountingRule(law=UNIFORM, scale=t), thresholds)
+        pr_attack = [min(1.0, a / t) for a in thresholds]
+        assert general.pr_attack == tuple(pr_attack)
+        assert general.pr_total_attack == min(pr_attack)
+        assert general.pr_no_attack == 1.0 - max(pr_attack)
+        assert general.pr_partial_attack == pytest.approx(
+            max(pr_attack) - min(pr_attack), abs=1e-12
         )
-        specific = rfire_threshold_probabilities(thresholds, t)
-        assert general.agrees_with(specific, tolerance=1e-12)
 
     def test_degenerate_cdf(self):
-        result = threshold_probabilities_with_cdf([0.0, 5.0], lambda c: 1.0 if c > 0 else 0.0)
+        # A point mass at 1: thresholds 0 and 5 straddle it.
+        result = _closed_form(CountingRule(law=STEP, scale=1), [0, 5])
         assert result.pr_partial_attack == 1.0
 
 

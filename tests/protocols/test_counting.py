@@ -6,7 +6,7 @@ from repro.core.execution import execute
 from repro.core.measures import modified_level_profile
 from repro.core.run import Run, good_run, random_run, silent_run
 from repro.core.topology import Topology
-from repro.protocols.counting import CountingLocal, CountingState
+from repro.protocols.counting import CountingLocal, CountingRule, CountingState
 from repro.protocols.invariants import check_counts_equal_level
 from repro.protocols.protocol_s import ProtocolS
 from repro.protocols.weak_adversary import ProtocolW
@@ -15,7 +15,9 @@ from repro.protocols.weak_adversary import ProtocolW
 class TestInitialStates:
     def _local(self, rfire_gated=True):
         return CountingLocal(
-            process=1, all_processes=frozenset([1, 2]), rfire_gated=rfire_gated
+            process=1,
+            all_processes=frozenset([1, 2]),
+            rule=CountingRule(rfire_gate=rfire_gated),
         )
 
     def test_coordinator_with_input_starts_counting(self):
@@ -30,7 +32,7 @@ class TestInitialStates:
 
     def test_non_coordinator_has_undefined_rfire(self):
         local = CountingLocal(
-            process=2, all_processes=frozenset([1, 2]), rfire_gated=True
+            process=2, all_processes=frozenset([1, 2]), rule=CountingRule()
         )
         state = local.initial_state(True, None)
         assert state.rfire is None
@@ -38,7 +40,7 @@ class TestInitialStates:
 
     def test_valid_gated_counts_without_rfire(self):
         local = CountingLocal(
-            process=2, all_processes=frozenset([1, 2]), rfire_gated=False
+            process=2, all_processes=frozenset([1, 2]), rule=CountingRule(rfire_gate=False)
         )
         state = local.initial_state(True, None)
         assert state.count == 1
@@ -48,7 +50,7 @@ class TestInitialStates:
 class TestMessageGeneration:
     def test_sends_full_state_every_round(self):
         local = CountingLocal(
-            process=1, all_processes=frozenset([1, 2]), rfire_gated=True
+            process=1, all_processes=frozenset([1, 2]), rule=CountingRule()
         )
         state = local.initial_state(True, 2.0)
         message = local.message(state, neighbor=2)
@@ -95,7 +97,7 @@ class TestCountingDynamics:
 
     def test_output_not_implemented_on_base(self):
         local = CountingLocal(
-            process=1, all_processes=frozenset([1, 2]), rfire_gated=True
+            process=1, all_processes=frozenset([1, 2]), rule=CountingRule()
         )
         with pytest.raises(NotImplementedError):
             local.output(local.initial_state(True, 1.0))
@@ -150,3 +152,35 @@ class TestCheckedExecute:
                 good_run(topology, 4),
                 {1: 2.0},
             )
+
+
+RFIRE_FAMILY = [
+    "ProtocolS",
+    "EagerS",
+    "GreedyS",
+    "MessageValidityS",
+    "NaiveCountingS",
+    "SkewedS",
+]
+
+
+class TestCoordinatorValidation:
+    """A coordinator that is not a process of the graph never draws
+    ``rfire``; accepting it would silently report "never attack"."""
+
+    @pytest.mark.parametrize("name", RFIRE_FAMILY)
+    def test_bad_coordinator_is_rejected(self, name, pair):
+        import repro.protocols as protocols
+
+        cls = getattr(protocols, name)
+        with pytest.raises(ValueError, match="coordinator"):
+            cls(epsilon=0.25, coordinator=0)
+        outside = cls(epsilon=0.25, coordinator=3)
+        assert not outside.supports_topology(pair)
+        with pytest.raises(ValueError, match="not defined on"):
+            outside.closed_form_probabilities(pair, good_run(pair, 4))
+        inside = cls(epsilon=0.25, coordinator=2)
+        assert inside.supports_topology(pair)
+        assert inside.closed_form_probabilities(
+            pair, good_run(pair, 4)
+        ).pr_total_attack > 0.0

@@ -14,7 +14,7 @@ from repro.core.protocol import ClosedFormProtocol
 from repro.core.randomness import ConstantTape, TapeSpace, UniformRealTape
 from repro.core.run import enumerate_runs
 from repro.core.topology import Topology
-from repro.protocols.counting import CountingLocal, CountingState
+from repro.protocols.counting import CountingLocal, CountingRule, CountingState
 from repro.protocols.invariants import (
     check_counts_equal_modified_level,
     check_invariants,
@@ -91,7 +91,7 @@ class _MutantProtocol(ClosedFormProtocol):
         local = self.local_class(
             process=process,
             all_processes=frozenset(topology.processes),
-            rfire_gated=True,
+            rule=CountingRule(),
         )
         return local
 

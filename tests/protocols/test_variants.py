@@ -1,5 +1,6 @@
 """Unit tests for the probe variants (EagerS, GreedyS, XorCoin)."""
 
+import numpy as np
 import pytest
 
 from repro.core.execution import decide
@@ -10,28 +11,32 @@ from repro.core.probability import (
     monte_carlo_probabilities,
 )
 from repro.core.run import Run, good_run, silent_run
-from repro.protocols.variants import (
-    EagerS,
-    GreedyS,
-    XorCoin,
-    rfire_threshold_probabilities,
-)
+from repro.protocols.counting import UNIFORM, CountingRule
+from repro.protocols.variants import EagerS, GreedyS, XorCoin
+
+
+def _uniform_closed_form(thresholds, t):
+    """The shared closed form under the uniform law, for thresholds
+    every process reached after hearing ``rfire``."""
+    rule = CountingRule(law=UNIFORM, scale=t)
+    counts = np.array([thresholds], dtype=np.int64)
+    return rule.probabilities(counts, np.ones_like(counts, dtype=bool))[0]
 
 
 class TestThresholdHelper:
     def test_basic_shape(self):
-        result = rfire_threshold_probabilities([2.0, 1.0], t=4.0)
+        result = _uniform_closed_form([2, 1], t=4.0)
         assert result.pr_total_attack == pytest.approx(0.25)
         assert result.pr_no_attack == pytest.approx(0.5)
         assert result.pr_partial_attack == pytest.approx(0.25)
         assert result.pr_attack == (0.5, 0.25)
 
     def test_zero_thresholds(self):
-        result = rfire_threshold_probabilities([0.0, 0.0], t=4.0)
+        result = _uniform_closed_form([0, 0], t=4.0)
         assert result.pr_no_attack == 1.0
 
     def test_saturation(self):
-        result = rfire_threshold_probabilities([9.0, 9.0], t=4.0)
+        result = _uniform_closed_form([9, 9], t=4.0)
         assert result.pr_total_attack == 1.0
 
 
