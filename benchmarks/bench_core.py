@@ -8,7 +8,7 @@ are visible.
 
 import random
 
-from repro.adversary.search import family_search
+from repro.adversary.search import exhaustive_search, family_search
 from repro.core.execution import decide, execute
 from repro.core.measures import clip, level_profile, modified_level_profile
 from repro.core.probability import exact_probabilities
@@ -19,6 +19,7 @@ from repro.protocols.protocol_s import ProtocolS
 
 PAIR = Topology.pair()
 RING = Topology.ring(6)
+STAR4 = Topology.star(4)
 
 
 def test_simulate_protocol_s_pair(benchmark):
@@ -71,6 +72,19 @@ def test_family_search_protocol_s(benchmark):
     protocol = ProtocolS(epsilon=0.2)
     benchmark.pedantic(
         family_search, args=(protocol, PAIR, 6), rounds=1, iterations=1
+    )
+
+
+def test_orbit_reduced_sweep_protocol_s_star4(benchmark):
+    """The exhaustive sweep: 2^16 runs, orbit-reduced to 11,968."""
+    from repro.engine import Engine
+
+    benchmark.pedantic(
+        exhaustive_search,
+        args=(ProtocolS(epsilon=0.2), STAR4, 2),
+        kwargs={"engine": Engine(), "symmetry_reduction": True},
+        rounds=5,
+        iterations=1,
     )
 
 

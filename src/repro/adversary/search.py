@@ -17,6 +17,26 @@ can be honest about what was proven:
 fits a budget, otherwise families + greedy refinement + random probes.
 The objective is pluggable, so the same machinery also *minimizes*
 liveness (via a negated objective) for adversary-tournament studies.
+
+The exhaustive sweep is one loop over packed ``uint64`` chunks of the
+run space (:func:`repro.core.packed.packed_run_chunks`, enumeration
+order): each chunk is cut to its orbit representatives when the
+protocol declares a symmetry, evaluated as one
+:class:`~repro.core.packed.RunBatch` by
+:meth:`Engine.evaluate_packed_many` (numpy kernel, or the reference
+simulator for protocols the kernel refuses), scored, and arg-maxed.
+Only the winning run is ever unpacked into a :class:`Run`.
+
+**Objective contract.**  An objective is *elementwise*: it reads the
+event attributes of its argument (``pr_total_attack``,
+``pr_no_attack``, ``pr_partial_attack``, ``liveness``, ``unsafety``)
+with arithmetic that works on floats and numpy arrays alike.  Family,
+greedy and random search call it on one
+:class:`~repro.core.probability.EventProbabilities` and get a float;
+the exhaustive sweep calls it once per chunk on an
+:class:`~repro.core.probability.EventBatch`, whose attributes are the
+event columns, and gets one value per run.  Both shipped objectives
+are attribute reads.
 """
 
 from __future__ import annotations
@@ -26,12 +46,15 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.packed import (
     PackedRun,
     RunBatch,
-    enumerate_orbit_representatives,
     layout_for,
+    orbit_reduce,
     orbit_tables,
+    packed_run_chunks,
 )
 from ..core.probability import EventProbabilities
 from ..core.seeding import spawn_random
@@ -44,19 +67,29 @@ from ..core.run import (
 )
 from ..core.topology import Topology
 from ..core.types import Round
-from .strong import StrongAdversary
 from .structured import RunFamily, standard_families
 
 logger = logging.getLogger(__name__)
 
+#: See the module docstring: an objective must also accept an
+#: :class:`EventBatch` and return its values as a column.
 Objective = Callable[[EventProbabilities], float]
 
 #: Below this run-space size :func:`worst_case_unsafety` runs the
-#: orbit-reduced *and* the full exhaustive sweep and asserts their
-#: maxima are identical — a standing self-check that symmetry
-#: reduction never changes an answer, cheap exactly where doubling
-#: the work is cheap.
+#: orbit-reduced *and* the full exhaustive sweep and checks their
+#: maxima are identical (:class:`SymmetryParityError` otherwise) — a
+#: standing self-check that symmetry reduction never changes an
+#: answer, cheap exactly where doubling the work is cheap.
 SYMMETRY_PARITY_LIMIT = 4_096
+
+
+class SymmetryParityError(RuntimeError):
+    """The orbit-reduced and full exhaustive maxima disagree.
+
+    Raised by :func:`worst_case_unsafety`'s standing parity check; it
+    means orbit reduction changed an answer, which is a bug.  A typed
+    exception rather than an ``assert`` so ``python -O`` keeps it.
+    """
 
 
 def _resolve_engine(engine):
@@ -161,51 +194,59 @@ def _search_over(
     )
 
 
-#: Packed exhaustive sweeps evaluate this many runs per kernel batch.
+#: The exhaustive sweep enumerates the run space in slices of this many
+#: runs; each slice is orbit-reduced and evaluated as one batch.
 EXHAUSTIVE_CHUNK = 4_096
 
+#: Monte Carlo trials per run when the sweep falls back to the
+#: reference path (exact protocols ignore it).
+EXHAUSTIVE_TRIALS = 2_000
 
-def _search_packed_stream(
+
+def _sweep(
     protocol: Protocol,
     topology: Topology,
-    stream: Iterable[PackedRun],
-    objective: Objective,
-    engine,
     num_rounds: Round,
-) -> Tuple[float, Optional[PackedRun], int]:
-    """Scan a packed-run stream in chunks; first strict max wins.
+    objective: Objective,
+    fixed_inputs: Optional[frozenset],
+    tables: Sequence[Sequence[int]],
+    engine,
+) -> Tuple[float, Optional[int], int]:
+    """Scan the run space chunk by chunk; the first strict max wins.
 
-    Returns ``(best_value, best_packed, examined)``.  Enumeration
-    order is preserved across chunk boundaries, so the winner is the
-    same run the one-big-list scan would pick.
+    Returns ``(best_value, best_bits, examined)``.  Each chunk is a
+    ``uint64`` slice of the space in enumeration order, cut to its
+    orbit representatives when ``tables`` is non-empty, evaluated as
+    one :class:`RunBatch` and scored column-wise by ``objective``.
+    ``np.argmax`` takes the first maximum inside a chunk and a strict
+    ``>`` keeps the earliest across chunks, so the winner is the run a
+    serial scan in enumeration order would pick.
     """
     layout = layout_for(topology, num_rounds)
     best_value = float("-inf")
-    best_packed: Optional[PackedRun] = None
+    best_bits: Optional[int] = None
     examined = 0
-    chunk: List[PackedRun] = []
-
-    def scan(batch_runs: List[PackedRun]) -> None:
-        nonlocal best_value, best_packed
-        batch = RunBatch.from_bits(layout, (p.bits for p in batch_runs))
-        results = engine.evaluate_packed_many(protocol, topology, batch)
-        for packed, result in zip(batch_runs, results):
-            value = objective(result)
-            if value > best_value:
-                best_value = value
-                best_packed = packed
-
-    for packed in stream:
-        chunk.append(packed)
-        examined += 1
-        if len(chunk) >= EXHAUSTIVE_CHUNK:
-            scan(chunk)
-            chunk = []
-    if chunk:
-        scan(chunk)
-    if examined == 0:
-        raise ValueError("exhaustive search was given no runs")
-    return best_value, best_packed, examined
+    for chunk in packed_run_chunks(
+        topology, num_rounds, fixed_inputs, EXHAUSTIVE_CHUNK
+    ):
+        if tables:
+            mask, _ = orbit_reduce(layout, chunk, tables)
+            chunk = chunk[mask]
+        if not len(chunk):
+            continue
+        results = engine.evaluate_packed_many(
+            protocol,
+            topology,
+            RunBatch(layout, chunk.reshape(-1, 1)),
+            trials=EXHAUSTIVE_TRIALS,
+        )
+        values = np.asarray(objective(results), dtype=np.float64)
+        winner = int(np.argmax(values))
+        if values[winner] > best_value:
+            best_value = float(values[winner])
+            best_bits = int(chunk[winner])
+        examined += len(chunk)
+    return best_value, best_bits, examined
 
 
 def exhaustive_search(
@@ -230,18 +271,27 @@ def exhaustive_search(
     report the savings; the ``limit`` guard then applies to the
     reduced count.  The default (``False``) keeps the full sweep, so
     results — witness, ``runs_examined``, tie-breaking — are
-    unchanged for existing callers.
+    unchanged for existing callers.  Either way the sweep is one
+    chunked pass (see the module docstring); only the witness becomes
+    a :class:`Run`.
     """
     engine = _resolve_engine(engine)
-    adversary = StrongAdversary(fixed_inputs=fixed_inputs)
-
+    space = run_space_size(
+        topology, num_rounds, fixed_inputs=fixed_inputs is not None
+    )
     fixing = (
         protocol.automorphism_invariant_vertices(topology)
         if symmetry_reduction
         else None
     )
-    if fixing is not None:
-        space = adversary.size(topology, num_rounds)
+    if fixing is None:
+        tables: List[Tuple[int, ...]] = []
+        if space > limit:
+            raise ValueError(
+                f"strong adversary has {space} runs here, above the "
+                f"enumeration limit of {limit}; use repro.adversary.search"
+            )
+    else:
         tables = orbit_tables(
             topology, num_rounds, sorted(fixing), fixed_inputs
         )
@@ -254,81 +304,41 @@ def exhaustive_search(
                 f"by a group of order {len(tables) + 1}; "
                 "use repro.adversary.search"
             )
-        stream = (
-            packed
-            for packed, _ in enumerate_orbit_representatives(
-                topology, num_rounds, sorted(fixing), fixed_inputs
-            )
-        )
-        with engine.obs.tracer.span(
-            "search.exhaustive",
-            protocol=protocol.name,
-            topology=topology.describe(),
-            runs=space,
-            certification="exact",
-            symmetry_reduction=True,
-        ):
-            best_value, best_packed, examined = _search_packed_stream(
-                protocol, topology, stream, objective, engine, num_rounds
-            )
-            if examined > limit:
-                raise ValueError(
-                    f"orbit-reduced enumeration produced {examined} "
-                    f"representatives, above the limit of {limit}"
-                )
-        engine.obs.metrics.counter("search.runs_examined").inc(examined)
-        reduction = space / examined
-        logger.debug(
-            "exhaustive search (orbit-reduced %.1fx) on %s: value=%.6f "
-            "over %d of %d runs",
-            reduction,
-            topology.describe(),
-            best_value,
-            examined,
-            space,
-        )
-        return SearchResult(
-            best_value,
-            best_packed.unpack() if best_packed is not None else None,
-            examined,
-            "exact",
-            "exhaustive",
-            reduction_factor=reduction,
-        )
-
-    if engine.backend != "reference" and engine.supports_vectorized(
-        protocol, topology
+    with engine.obs.tracer.span(
+        "search.exhaustive",
+        protocol=protocol.name,
+        topology=topology.describe(),
+        runs=space,
+        certification="exact",
+        symmetry_reduction=fixing is not None,
     ):
-        stream = adversary.enumerate_packed(topology, num_rounds, limit=limit)
-        with engine.obs.tracer.span(
-            "search.exhaustive",
-            protocol=protocol.name,
-            topology=topology.describe(),
-            runs=adversary.size(topology, num_rounds),
-            certification="exact",
-        ):
-            best_value, best_packed, examined = _search_packed_stream(
-                protocol, topology, stream, objective, engine, num_rounds
+        best_value, best_bits, examined = _sweep(
+            protocol, topology, num_rounds, objective, fixed_inputs,
+            tables, engine,
+        )
+        if examined > limit:
+            raise ValueError(
+                f"orbit-reduced enumeration produced {examined} "
+                f"representatives, above the limit of {limit}"
             )
-        engine.obs.metrics.counter("search.runs_examined").inc(examined)
-        logger.debug(
-            "exhaustive search (packed) on %s: value=%.6f over %d runs",
-            topology.describe(),
-            best_value,
-            examined,
-        )
-        return SearchResult(
-            best_value,
-            best_packed.unpack() if best_packed is not None else None,
-            examined,
-            "exact",
-            "exhaustive",
-        )
-
-    runs = adversary.enumerate(topology, num_rounds, limit=limit)
-    return _search_over(
-        protocol, topology, runs, objective, "exact", "exhaustive",
-        engine=engine,
+    engine.obs.metrics.counter("search.runs_examined").inc(examined)
+    reduction = space / examined if fixing is not None else None
+    logger.debug(
+        "exhaustive search on %s: value=%.6f over %d of %d runs",
+        topology.describe(),
+        best_value,
+        examined,
+        space,
+    )
+    return SearchResult(
+        best_value,
+        layout_for(topology, num_rounds).unpack_bits(best_bits)
+        if best_bits is not None
+        else None,
+        examined,
+        "exact",
+        "exhaustive",
+        reduction_factor=reduction,
     )
 
 
@@ -539,8 +549,8 @@ def worst_case_unsafety(
     representative per orbit certifies the same exact maximum for a
     fraction of the evaluations.  On the smallest instances the
     reduced and unreduced sweeps are both run and their maxima
-    asserted equal (the lumpability analogue of the backend parity
-    suite); reduction failures (width caps, guard limits) fall back
+    checked equal, raising :class:`SymmetryParityError` otherwise (the
+    lumpability analogue of the backend parity suite); reduction failures (width caps, guard limits) fall back
     to the full sweep, never to a weaker certification.  Otherwise
     the best of family search, greedy refinement seeded at the family
     winner, and random probing — certified ``family`` if the family
@@ -577,11 +587,12 @@ def worst_case_unsafety(
             )
             if reduced is not None:
                 # Exact parity: an orbit maximum is the space maximum.
-                assert reduced.value == full.value, (
-                    f"orbit-reduced maximum {reduced.value!r} != "
-                    f"full-sweep maximum {full.value!r} on "
-                    f"{topology.describe()} N={num_rounds}"
-                )
+                if reduced.value != full.value:
+                    raise SymmetryParityError(
+                        f"orbit-reduced maximum {reduced.value!r} != "
+                        f"full-sweep maximum {full.value!r} on "
+                        f"{topology.describe()} N={num_rounds}"
+                    )
                 return reduced
             return full
         family_result = family_search(

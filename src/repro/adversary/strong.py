@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..core.packed import PackedRun, enumerate_packed_runs
 from ..core.run import Run, enumerate_runs, run_space_size
 from ..core.topology import Topology
 from ..core.types import Round
@@ -67,24 +66,3 @@ class StrongAdversary(Adversary):
                 f"enumeration limit of {limit}; use repro.adversary.search"
             )
         return enumerate_runs(topology, num_rounds, self.fixed_inputs)
-
-    def enumerate_packed(
-        self,
-        topology: Topology,
-        num_rounds: Round,
-        limit: int = DEFAULT_ENUMERATION_LIMIT,
-    ) -> Iterator[PackedRun]:
-        """Packed-native enumeration: each run is one integer bitmask.
-
-        Same guard and same counter order as :meth:`enumerate`
-        (that method now unpacks exactly this stream), but the runs
-        stay packed — the exhaustive search batches them straight into
-        :class:`~repro.core.packed.RunBatch` arrays for the kernel.
-        """
-        total = self.size(topology, num_rounds)
-        if total > limit:
-            raise ValueError(
-                f"strong adversary has {total} runs here, above the "
-                f"enumeration limit of {limit}; use repro.adversary.search"
-            )
-        return enumerate_packed_runs(topology, num_rounds, self.fixed_inputs)

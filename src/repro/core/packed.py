@@ -457,6 +457,50 @@ def packed_run_space(
     return layout, space
 
 
+#: One uint64 word holds a run of at most this many bits.
+MAX_WORD_BITS = 64
+
+
+def packed_run_chunks(
+    topology: Topology,
+    num_rounds: Round,
+    inputs: Optional[Iterable[ProcessId]] = None,
+    chunk: int = 4_096,
+) -> Iterator[np.ndarray]:
+    """The run space as consecutive ``uint64`` slices of ``chunk`` runs.
+
+    Concatenated, the slices are exactly :func:`enumerate_packed_runs`
+    in its order (input sets outer, message counter inner), but each
+    slice is one ``np.arange`` and a few whole-array bit operations:
+    no per-run Python object, and memory stays at one slice however
+    large the space.  Layouts wider than one word are refused.
+    """
+    layout = layout_for(topology, num_rounds)
+    if layout.num_bits > MAX_WORD_BITS:
+        raise OrbitReductionUnsupported(
+            f"run space of {layout.num_bits} bits exceeds the "
+            f"single-word limit of {MAX_WORD_BITS}; stream "
+            "enumerate_packed_runs instead"
+        )
+    m = np.uint64(layout.num_processes)
+    message_bits = layout.num_message_bits
+    if inputs is None:
+        # Global index i = (input set) * 2^message_bits + counter.
+        total = 1 << layout.num_bits
+        counter_mask = np.uint64((1 << message_bits) - 1)
+        input_shift = np.uint64(message_bits)
+    else:
+        total = 1 << message_bits
+        input_mask = np.uint64(layout.input_mask(inputs))
+    for start in range(0, total, chunk):
+        index = np.arange(min(chunk, total - start), dtype=np.uint64)
+        index += np.uint64(start)
+        if inputs is None:
+            yield ((index & counter_mask) << m) | (index >> input_shift)
+        else:
+            yield (index << m) | input_mask
+
+
 # ----------------------------------------------------------------------
 # Automorphism action and orbit reduction.
 # ----------------------------------------------------------------------
@@ -531,11 +575,23 @@ def orbit_size(bits: int, tables: Sequence[Sequence[int]]) -> int:
 def _vector_images(
     space: np.ndarray, table: Sequence[int]
 ) -> np.ndarray:
-    """Permute the bits of every mask in ``space`` (single-word)."""
-    images = np.zeros_like(space)
-    one = np.uint64(1)
+    """Permute the bits of every mask in ``space`` (single-word).
+
+    Bits that move by the same distance move together: one mask and
+    one shift per distinct distance.  A link's image sits at the same
+    offset in every round, so there are at most ``m + L`` distances
+    however long the horizon.
+    """
+    by_shift: Dict[int, int] = {}
     for bit, target in enumerate(table):
-        images |= ((space >> np.uint64(bit)) & one) << np.uint64(target)
+        by_shift[target - bit] = by_shift.get(target - bit, 0) | (1 << bit)
+    images = np.zeros_like(space)
+    for shift, mask in by_shift.items():
+        moved = space & np.uint64(mask)
+        if shift >= 0:
+            images |= moved << np.uint64(shift)
+        else:
+            images |= moved >> np.uint64(-shift)
     return images
 
 
@@ -615,28 +671,46 @@ def enumerate_orbit_representatives(
     """Lazily yield ``(representative, orbit_size)`` pairs.
 
     The group is filtered by :func:`orbit_tables`.  Covers exactly the
-    runs :func:`enumerate_packed_runs` yields: orbit sizes over the
-    representatives sum to the space size.
+    runs :func:`enumerate_packed_runs` yields, in that order: orbit
+    sizes over the representatives sum to the space size.  Single-word
+    layouts are reduced a :func:`packed_run_chunks` slice at a time by
+    :func:`orbit_reduce`; wider layouts fall back to a per-run scan,
+    which has no width limit.
     """
+    layout = layout_for(topology, num_rounds)
     tables = orbit_tables(topology, num_rounds, fixing, inputs)
+    if layout.num_bits > MAX_VECTOR_ORBIT_BITS:
+        yield from _scan_orbit_representatives(
+            topology, num_rounds, tables, inputs
+        )
+        return
+    for chunk in packed_run_chunks(topology, num_rounds, inputs):
+        mask, sizes = orbit_reduce(layout, chunk, tables)
+        for bits, size in zip(chunk[mask].tolist(), sizes.tolist()):
+            yield PackedRun(layout, bits), size
+
+
+def _scan_orbit_representatives(
+    topology: Topology,
+    num_rounds: Round,
+    tables: Sequence[Sequence[int]],
+    inputs: Optional[Iterable[ProcessId]],
+) -> Iterator[Tuple[PackedRun, int]]:
+    """The per-run orbit scan for layouts past one word."""
     for packed in enumerate_packed_runs(topology, num_rounds, inputs):
-        if not tables:
-            yield packed, 1
-            continue
         images = {packed.bits}
-        is_rep = True
         for table in tables:
             image = permute_bits(packed.bits, table)
             if image < packed.bits:
-                is_rep = False
                 break
             images.add(image)
-        if is_rep:
+        else:
             yield packed, len(images)
 
 
 __all__ = [
     "MAX_VECTOR_ORBIT_BITS",
+    "MAX_WORD_BITS",
     "OrbitReductionUnsupported",
     "PackedRun",
     "RunBatch",
@@ -650,6 +724,7 @@ __all__ = [
     "orbit_reduce",
     "orbit_size",
     "orbit_tables",
+    "packed_run_chunks",
     "packed_run_space",
     "permute_bits",
 ]

@@ -23,7 +23,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union, overload
+
+import numpy as np
 
 from .events import OutcomeCounts, classify, Outcome
 from .execution import decide
@@ -97,6 +99,139 @@ class EventProbabilities:
         ]
         pairs.extend(zip(self.pr_attack, other.pr_attack))
         return all(abs(a - b) <= tolerance for a, b in pairs)
+
+
+class EventBatch(Sequence[EventProbabilities]):
+    """Event probabilities for a batch of runs, stored as columns.
+
+    The batch kernels return one of these instead of a list, so a
+    caller that only needs a column (the exhaustive sweep's objective,
+    an orbit-weighted aggregate) never builds a Python object per run.
+    ``pr_total_attack``, ``pr_no_attack`` and ``pr_partial_attack`` are
+    float64 arrays of length ``n``; ``pr_attack`` is ``(n, m)``.  As a
+    ``Sequence[EventProbabilities]`` it indexes, iterates and compares
+    like the list it replaces: rows are built on access and equal the
+    per-run results bit for bit.
+
+    Construction validates every row exactly as
+    :class:`EventProbabilities` does (sum within 1e-9 of 1, each event
+    in ``[-1e-12, 1 + 1e-12]``, NaN fails) and raises the same
+    ``ValueError`` that constructing the first failing row would.
+    """
+
+    __slots__ = (
+        "pr_total_attack",
+        "pr_no_attack",
+        "pr_partial_attack",
+        "pr_attack",
+        "method",
+        "_rows",
+    )
+
+    def __init__(
+        self,
+        pr_total_attack: np.ndarray,
+        pr_no_attack: np.ndarray,
+        pr_partial_attack: np.ndarray,
+        pr_attack: np.ndarray,
+        method: str = "closed-form",
+    ) -> None:
+        self.pr_total_attack = np.asarray(pr_total_attack, dtype=np.float64)
+        self.pr_no_attack = np.asarray(pr_no_attack, dtype=np.float64)
+        self.pr_partial_attack = np.asarray(pr_partial_attack, dtype=np.float64)
+        self.pr_attack = np.asarray(pr_attack, dtype=np.float64)
+        self.method = method
+        self._rows: Optional[List[EventProbabilities]] = None
+        columns = (self.pr_total_attack, self.pr_no_attack, self.pr_partial_attack)
+        total = columns[0] + columns[1] + columns[2]
+        valid = np.abs(total - 1.0) <= 1e-9
+        for column in columns:
+            valid &= (column >= -1e-12) & (column <= 1 + 1e-12)
+        if not valid.all():
+            # Build the first failing row: it raises the exact error.
+            self._row(int(np.argmin(valid)))
+
+    @classmethod
+    def from_results(cls, results: Sequence[EventProbabilities]) -> "EventBatch":
+        """Wrap per-run results (the reference path) as a batch.
+
+        Indexing returns the original objects, so a Monte Carlo or
+        enumeration result keeps its ``method`` and ``trials``.
+        """
+        rows = list(results)
+        num_processes = len(rows[0].pr_attack) if rows else 0
+        batch = cls(
+            np.array([row.pr_total_attack for row in rows], dtype=np.float64),
+            np.array([row.pr_no_attack for row in rows], dtype=np.float64),
+            np.array([row.pr_partial_attack for row in rows], dtype=np.float64),
+            np.array(
+                [row.pr_attack for row in rows], dtype=np.float64
+            ).reshape(len(rows), num_processes),
+            method=rows[0].method if rows else "closed-form",
+        )
+        batch._rows = rows
+        return batch
+
+    @property
+    def liveness(self) -> np.ndarray:
+        """The ``L(F, R)`` column (see :attr:`EventProbabilities.liveness`)."""
+        return self.pr_total_attack
+
+    @property
+    def unsafety(self) -> np.ndarray:
+        """The ``Pr[PA | R]`` column."""
+        return self.pr_partial_attack
+
+    def _row(self, index: int) -> EventProbabilities:
+        if self._rows is not None:
+            return self._rows[index]
+        return EventProbabilities(
+            pr_total_attack=float(self.pr_total_attack[index]),
+            pr_no_attack=float(self.pr_no_attack[index]),
+            pr_partial_attack=float(self.pr_partial_attack[index]),
+            pr_attack=tuple(self.pr_attack[index].tolist()),
+            method=self.method,
+        )
+
+    def __len__(self) -> int:
+        return int(self.pr_total_attack.shape[0])
+
+    @overload
+    def __getitem__(self, index: int) -> EventProbabilities: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[EventProbabilities]: ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[EventProbabilities, List[EventProbabilities]]:
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(len(self))[index]]
+        return self._row(range(len(self))[index])
+
+    def __iter__(self) -> Iterator[EventProbabilities]:
+        if self._rows is not None:
+            return iter(self._rows)
+        # One tolist() per column: cheaper than indexing row by row.
+        return (
+            EventProbabilities(pr_ta, pr_na, pr_pa, tuple(attack), self.method)
+            for pr_ta, pr_na, pr_pa, attack in zip(
+                self.pr_total_attack.tolist(),
+                self.pr_no_attack.tolist(),
+                self.pr_partial_attack.tolist(),
+                self.pr_attack.tolist(),
+            )
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EventBatch):
+            return list(self) == list(other)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"EventBatch(n={len(self)}, method={self.method!r})"
 
 
 def exact_probabilities(

@@ -64,6 +64,7 @@ from ..core.packed import PackedRun, RunBatch, layout_for
 from ..core.probability import (
     DEFAULT_ENUMERATION_LIMIT,
     DEFAULT_TRIALS,
+    EventBatch,
     EventProbabilities,
     evaluate,
 )
@@ -761,14 +762,17 @@ class Engine:
         method: str = "auto",
         trials: int = DEFAULT_TRIALS,
         use_cache: bool = False,
-    ) -> List[EventProbabilities]:
+    ) -> EventBatch:
         """Evaluate a :class:`RunBatch`, packed end-to-end when possible.
 
         When the vectorized kernel supports the pair, the batch's words
-        feed it directly — no ``Run`` objects exist at any point.
-        Otherwise the batch is unpacked and delegated to
-        :meth:`evaluate_many` (reference semantics), so the call is
-        total either way and results are bit-identical across paths.
+        feed it directly — no ``Run`` objects exist at any point, and
+        the :class:`~repro.core.probability.EventBatch` it returns holds
+        the event columns as arrays.  Otherwise the batch is unpacked
+        and delegated to :meth:`evaluate_many` (reference semantics)
+        and the results are wrapped with
+        :meth:`EventBatch.from_results`, so the call is total either
+        way and results are bit-identical across paths.
 
         ``use_cache`` defaults to False: the bulk callers (exhaustive
         packed sweeps) visit each run exactly once, so per-run memo
@@ -777,16 +781,18 @@ class Engine:
         packed keys the scalar path uses.
         """
         if len(batch) == 0:
-            return []
+            return EventBatch.from_results([])
         if not self._wants_vectorized(
             protocol, topology, method, batch=len(batch)
         ):
-            return self.evaluate_many(
-                protocol,
-                topology,
-                batch.to_runs(),
-                method=method,
-                trials=trials,
+            return EventBatch.from_results(
+                self.evaluate_many(
+                    protocol,
+                    topology,
+                    batch.to_runs(),
+                    method=method,
+                    trials=trials,
+                )
             )
         from . import vectorized
 

@@ -39,7 +39,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 import numpy as np
 
 from ..core.packed import PackedRun, RunBatch, layout_for
-from ..core.probability import EventProbabilities
+from ..core.probability import EventBatch, EventProbabilities
 from ..core.protocol import Protocol
 from ..core.run import Run
 from ..core.topology import Topology
@@ -384,10 +384,10 @@ def _protocol_kernel(protocol: Protocol) -> Tuple[CountingRule, ProcessId]:
 
 def evaluate_batch(
     protocol: Protocol, topology: Topology, runs: Sequence[Run]
-) -> List[EventProbabilities]:
+) -> EventBatch:
     """Evaluate a uniform-horizon batch of runs on a supported protocol."""
     if not runs:
-        return []
+        return EventBatch.from_results([])
     num_rounds = runs[0].num_rounds
     batch = RunBatch.from_runs(topology, num_rounds, runs)
     return evaluate_packed_batch(protocol, topology, batch)
@@ -395,7 +395,7 @@ def evaluate_batch(
 
 def evaluate_packed_batch(
     protocol: Protocol, topology: Topology, batch: RunBatch
-) -> List[EventProbabilities]:
+) -> EventBatch:
     """Evaluate a :class:`RunBatch` directly — no per-run unpacking.
 
     The packed words are the wire form all the way from enumeration:

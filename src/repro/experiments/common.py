@@ -19,9 +19,10 @@ from typing import List, Optional
 from ..analysis.report import ExperimentReport
 from ..core.packed import (
     RunBatch,
-    enumerate_orbit_representatives,
-    enumerate_packed_runs,
     layout_for,
+    orbit_reduce,
+    orbit_tables,
+    packed_run_chunks,
 )
 from ..core.run import enumerate_runs
 from ..core.seeding import spawn_generator, spawn_random
@@ -167,15 +168,18 @@ def packed_kernel_benchmark(
     * ``legacy_seconds`` — scalar per-run evaluation of ``sample``
       runs on a fresh reference engine, extrapolated to the full space
       (the pre-packed data path);
-    * ``packed_seconds`` — one orbit-reduced sweep: representative
-      enumeration plus chunked :meth:`Engine.evaluate_packed_many`;
+    * ``packed_seconds`` — one orbit-reduced sweep on the exhaustive
+      search's path: :func:`~repro.core.packed.packed_run_chunks`
+      slices, :func:`~repro.core.packed.orbit_reduce`, and one
+      :meth:`Engine.evaluate_packed_many` batch per slice;
     * ``kernel_speedup`` — their ratio, with
       ``symmetry_reduction_factor`` reporting how much of it the orbit
       reduction contributed.
 
     The sweep is checked, not just timed: the orbit-weighted aggregate
-    ``sum(|orbit| · Pr[PA])`` must equal the unreduced packed sweep's
-    aggregate bit-for-bit tolerance, and a mismatch fails the report.
+    ``sum(|orbit| · Pr[PA])`` (orbit sizes dotted with the batch's PA
+    column) must equal the unreduced packed sweep's aggregate to
+    1e-9, and a mismatch fails the report.
     Results land in ``report.metadata["packed_kernel"]`` (picked up by
     ``BENCH_<eX>.json``).
     """
@@ -200,46 +204,31 @@ def packed_kernel_benchmark(
     legacy_sample_seconds = monotonic() - started
     legacy_seconds = legacy_sample_seconds * (space / len(sample_runs))
 
-    # Packed sweep: orbit representatives through the batched kernel.
+    # Packed sweep: the exhaustive search's own path — enumerate a
+    # uint64 chunk, orbit-reduce it, evaluate the representatives as
+    # one batch, and weight the PA column by the orbit sizes.
     vectorized = Engine(backend="vectorized")
     started = monotonic()
+    tables = orbit_tables(topology, num_rounds, (), inputs)
     weighted = 0.0
     representatives = 0
-    pending: List = []
-    pending_sizes: List[int] = []
-
-    def flush() -> None:
-        nonlocal weighted
-        batch = RunBatch.from_bits(layout, (p.bits for p in pending))
-        results = vectorized.evaluate_packed_many(protocol, topology, batch)
-        for size, result in zip(pending_sizes, results):
-            weighted += size * result.pr_partial_attack
-
-    for packed, orbit in enumerate_orbit_representatives(
-        topology, num_rounds, (), inputs
-    ):
-        pending.append(packed)
-        pending_sizes.append(orbit)
-        representatives += 1
-        if len(pending) >= chunk:
-            flush()
-            pending, pending_sizes = [], []
-    if pending:
-        flush()
+    for block in packed_run_chunks(topology, num_rounds, inputs, chunk):
+        mask, sizes = orbit_reduce(layout, block, tables)
+        reps = block[mask]
+        results = vectorized.evaluate_packed_many(
+            protocol, topology, RunBatch(layout, reps.reshape(-1, 1))
+        )
+        weighted += float(sizes @ results.pr_partial_attack)
+        representatives += len(reps)
     packed_seconds = monotonic() - started
 
     # Parity: the same aggregate from the unreduced packed sweep.
     full = 0.0
-    stream = enumerate_packed_runs(topology, num_rounds, inputs)
-    while True:
-        block = list(itertools.islice(stream, chunk))
-        if not block:
-            break
-        batch = RunBatch.from_bits(layout, (p.bits for p in block))
-        for result in vectorized.evaluate_packed_many(
-            protocol, topology, batch
-        ):
-            full += result.pr_partial_attack
+    for block in packed_run_chunks(topology, num_rounds, inputs, chunk):
+        results = vectorized.evaluate_packed_many(
+            protocol, topology, RunBatch(layout, block.reshape(-1, 1))
+        )
+        full += float(results.pr_partial_attack.sum())
     values_match = abs(weighted - full) < 1e-9
 
     speedup = legacy_seconds / packed_seconds if packed_seconds > 0 else None

@@ -57,7 +57,7 @@ from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.probability import EventProbabilities
+from ..core.probability import EventBatch, EventProbabilities
 from ..core.protocol import ClosedFormProtocol, LocalProtocol, ReceivedMessage
 from ..core.randomness import (
     ConstantTape,
@@ -145,27 +145,14 @@ class CountingRule:
             )
         return np.minimum(1.0, thresholds / self.scale)
 
-    def probabilities(
-        self, counts: np.ndarray, heard: np.ndarray
-    ) -> List[EventProbabilities]:
+    def probabilities(self, counts: np.ndarray, heard: np.ndarray) -> EventBatch:
         """Exact event probabilities for a ``(batch, m)`` array of final
-        counts — one result per row."""
+        counts — one row per run, as columns (no per-run objects)."""
         attack = self.cdf(self.thresholds(counts, heard))
         total = attack.min(axis=1)
         none = 1.0 - attack.max(axis=1)
         partial = np.maximum(0.0, 1.0 - total - none)
-        return [
-            EventProbabilities(
-                pr_total_attack=pr_ta,
-                pr_no_attack=pr_na,
-                pr_partial_attack=pr_pa,
-                pr_attack=tuple(row),
-                method="closed-form",
-            )
-            for pr_ta, pr_na, pr_pa, row in zip(
-                total.tolist(), none.tolist(), partial.tolist(), attack.tolist()
-            )
-        ]
+        return EventBatch(total, none, partial, attack)
 
 
 def final_arrays(

@@ -10,6 +10,11 @@ silently returning wrong aggregates.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +58,53 @@ def test_reduced_equals_full_sweep():
     )
     assert reduced.certification == full.certification == "exact"
     assert reduced.runs_examined < full.runs_examined
+
+
+TAMPERED_PARITY_SCRIPT = textwrap.dedent(
+    """
+    import dataclasses
+    import sys
+
+    import repro.adversary.search as search
+    from repro.core.topology import Topology
+    from repro.protocols.weak_adversary import ProtocolW
+
+    assert sys.flags.optimize == 1
+    honest = search.exhaustive_search
+
+    def tampered(*args, **kwargs):
+        result = honest(*args, **kwargs)
+        if kwargs.get("symmetry_reduction"):
+            return dataclasses.replace(result, value=result.value - 0.5)
+        return result
+
+    search.exhaustive_search = tampered
+    try:
+        search.worst_case_unsafety(ProtocolW(2), Topology.complete(3), 1)
+    except Exception as error:
+        print(type(error).__name__, error)
+        sys.exit(3)
+    print("no error")
+    """
+)
+
+
+def test_parity_check_survives_python_optimize():
+    # A tampered reduced sweep must trip the standing parity check even
+    # with asserts stripped (python -O).
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_PARITY_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert result.stdout.startswith(
+        "SymmetryParityError orbit-reduced maximum 0.5 != "
+        "full-sweep maximum 1.0 on"
+    )
 
 
 def test_parity_limit_is_positive():
