@@ -28,6 +28,8 @@ over the run's tuples and unpacking is one pass over the set bits.
 Enumeration is a counter increment: the whole run space for a fixed
 input set is ``range(2**(L*N))`` shifted past the input bits — no
 ``itertools.combinations`` subset materialization, no frozensets.
+:func:`packed_run_chunks` produces the same order as ``uint64``
+slices, the form the exhaustive sweep consumes.
 
 Symmetry reduction
 ------------------
@@ -80,7 +82,7 @@ class OrbitReductionUnsupported(ValueError):
     ``ValueError`` subclass, so legacy ``except ValueError`` handlers
     keep working).  Callers that can tolerate streaming should catch
     it and fall back to :func:`enumerate_orbit_representatives`, the
-    lazy pure-python path, which has no width limit.
+    lazy path, which has no width limit.
     """
 
 
@@ -425,38 +427,6 @@ def enumerate_packed_runs(
             yield PackedRun(layout, (message_counter << m) | input_mask)
 
 
-def packed_run_space(
-    topology: Topology,
-    num_rounds: Round,
-    inputs: Optional[Iterable[ProcessId]] = None,
-) -> Tuple[RunLayout, np.ndarray]:
-    """The whole run space as a single uint64 array (small layouts).
-
-    Used by the orbit-reduced exhaustive search, which needs the space
-    as one vector to canonicalize with numpy.  Layouts wider than
-    :data:`MAX_VECTOR_ORBIT_BITS` are refused (the exhaustive search
-    guards on the space size long before this limit binds).
-    """
-    layout = layout_for(topology, num_rounds)
-    if layout.num_bits > MAX_VECTOR_ORBIT_BITS:
-        raise OrbitReductionUnsupported(
-            f"run space of {layout.num_bits} bits exceeds the "
-            f"single-word limit of {MAX_VECTOR_ORBIT_BITS}; stream "
-            "enumerate_orbit_representatives instead"
-        )
-    m = layout.num_processes
-    message_space = 1 << layout.num_message_bits
-    counters = np.arange(message_space, dtype=np.uint64) << np.uint64(m)
-    if inputs is None:
-        masks = np.arange(1 << m, dtype=np.uint64)
-        space = (
-            counters[None, :] | masks[:, None]
-        ).reshape(-1)
-    else:
-        space = counters | np.uint64(layout.input_mask(inputs))
-    return layout, space
-
-
 #: One uint64 word holds a run of at most this many bits.
 MAX_WORD_BITS = 64
 
@@ -499,6 +469,28 @@ def packed_run_chunks(
             yield ((index & counter_mask) << m) | (index >> input_shift)
         else:
             yield (index << m) | input_mask
+
+
+def packed_run_space(
+    topology: Topology,
+    num_rounds: Round,
+    inputs: Optional[Iterable[ProcessId]] = None,
+) -> Tuple[RunLayout, np.ndarray]:
+    """The whole run space as a single uint64 array (small layouts).
+
+    The concatenation of :func:`packed_run_chunks`, for callers that
+    want the space as one vector.  Layouts wider than
+    :data:`MAX_VECTOR_ORBIT_BITS` are refused.
+    """
+    layout = layout_for(topology, num_rounds)
+    if layout.num_bits > MAX_VECTOR_ORBIT_BITS:
+        raise OrbitReductionUnsupported(
+            f"run space of {layout.num_bits} bits exceeds the "
+            f"single-word limit of {MAX_VECTOR_ORBIT_BITS}; stream "
+            "enumerate_orbit_representatives instead"
+        )
+    chunks = list(packed_run_chunks(topology, num_rounds, inputs))
+    return layout, np.concatenate(chunks)
 
 
 # ----------------------------------------------------------------------
@@ -565,11 +557,6 @@ def canonical_bits(
         if image < best:
             best = image
     return best
-
-
-def orbit_size(bits: int, tables: Sequence[Sequence[int]]) -> int:
-    """The number of distinct images of ``bits`` under the group."""
-    return len({permute_bits(bits, table) for table in tables})
 
 
 def _vector_images(
@@ -722,7 +709,6 @@ __all__ = [
     "enumerate_packed_runs",
     "layout_for",
     "orbit_reduce",
-    "orbit_size",
     "orbit_tables",
     "packed_run_chunks",
     "packed_run_space",

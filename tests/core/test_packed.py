@@ -21,11 +21,13 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.packed import (
+    OrbitReductionUnsupported,
     PackedRun,
     RunBatch,
     canonical_bits,
@@ -34,6 +36,7 @@ from repro.core.packed import (
     layout_for,
     orbit_reduce,
     orbit_tables,
+    packed_run_chunks,
     packed_run_space,
 )
 from repro.core.run import (
@@ -130,6 +133,33 @@ class TestEnumeration:
         packed = enumerate_packed_runs(PAIR, 2)
         for run, packed_run in zip(enumerate_runs(PAIR, 2), packed):
             assert run == packed_run.unpack()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 4096])
+    @pytest.mark.parametrize(
+        "topology, num_rounds, inputs",
+        [(PAIR, 2, None), (PATH3, 1, None), (K3, 1, frozenset({1, 3}))],
+    )
+    def test_chunks_concatenate_to_the_enumeration(
+        self, topology, num_rounds, inputs, chunk
+    ):
+        slices = list(packed_run_chunks(topology, num_rounds, inputs, chunk))
+        assert all(s.dtype == np.uint64 and len(s) <= chunk for s in slices)
+        assert [b for s in slices for b in s.tolist()] == [
+            p.bits for p in enumerate_packed_runs(topology, num_rounds, inputs)
+        ]
+
+    def test_chunks_cover_a_full_word(self):
+        # complete(4) at N = 5 is 64 bits: one past the orbit cap but
+        # still one uint64 word per run.
+        topology = Topology.complete(4)
+        fixed = frozenset(topology.processes)
+        first = next(packed_run_chunks(topology, 5, fixed, 3))
+        assert first.tolist() == [
+            p.bits
+            for p in itertools.islice(enumerate_packed_runs(topology, 5, fixed), 3)
+        ]
+        with pytest.raises(OrbitReductionUnsupported, match="single-word"):
+            next(packed_run_chunks(Topology.complete(5), 4))
 
     def test_enumeration_is_lazy(self):
         # Both enumerators are generators: taking a prefix must not
