@@ -41,6 +41,11 @@ DEFAULT_ENUMERATION_LIMIT = 200_000
 # Default sample size for the Monte Carlo backend.
 DEFAULT_TRIALS = 4_000
 
+#: An :class:`EventBatch` of at most this many runs builds its rows at
+#: construction (they validate themselves); larger batches validate
+#: the columns with numpy and build rows only on access.
+EAGER_ROW_LIMIT = 16
+
 
 @dataclass(frozen=True)
 class EventProbabilities:
@@ -117,6 +122,9 @@ class EventBatch(Sequence[EventProbabilities]):
     :class:`EventProbabilities` does (sum within 1e-9 of 1, each event
     in ``[-1e-12, 1 + 1e-12]``, NaN fails) and raises the same
     ``ValueError`` that constructing the first failing row would.
+    Batches of at most :data:`EAGER_ROW_LIMIT` runs (a scalar closed
+    form, a small reference batch) build their rows up front instead,
+    which is cheaper than the numpy checks at that size.
     """
 
     __slots__ = (
@@ -135,13 +143,23 @@ class EventBatch(Sequence[EventProbabilities]):
         pr_partial_attack: np.ndarray,
         pr_attack: np.ndarray,
         method: str = "closed-form",
+        *,
+        rows: Optional[List[EventProbabilities]] = None,
     ) -> None:
         self.pr_total_attack = np.asarray(pr_total_attack, dtype=np.float64)
         self.pr_no_attack = np.asarray(pr_no_attack, dtype=np.float64)
         self.pr_partial_attack = np.asarray(pr_partial_attack, dtype=np.float64)
         self.pr_attack = np.asarray(pr_attack, dtype=np.float64)
         self.method = method
-        self._rows: Optional[List[EventProbabilities]] = None
+        # ``rows`` were validated when they were constructed.
+        self._rows = rows
+        if rows is not None:
+            return
+        if len(self) <= EAGER_ROW_LIMIT:
+            # A dozen numpy calls cost more than building a few rows,
+            # and each row runs the EventProbabilities checks itself.
+            self._rows = list(self._build_rows())
+            return
         columns = (self.pr_total_attack, self.pr_no_attack, self.pr_partial_attack)
         total = columns[0] + columns[1] + columns[2]
         valid = np.abs(total - 1.0) <= 1e-9
@@ -160,7 +178,7 @@ class EventBatch(Sequence[EventProbabilities]):
         """
         rows = list(results)
         num_processes = len(rows[0].pr_attack) if rows else 0
-        batch = cls(
+        return cls(
             np.array([row.pr_total_attack for row in rows], dtype=np.float64),
             np.array([row.pr_no_attack for row in rows], dtype=np.float64),
             np.array([row.pr_partial_attack for row in rows], dtype=np.float64),
@@ -168,9 +186,8 @@ class EventBatch(Sequence[EventProbabilities]):
                 [row.pr_attack for row in rows], dtype=np.float64
             ).reshape(len(rows), num_processes),
             method=rows[0].method if rows else "closed-form",
+            rows=rows,
         )
-        batch._rows = rows
-        return batch
 
     @property
     def liveness(self) -> np.ndarray:
@@ -212,6 +229,9 @@ class EventBatch(Sequence[EventProbabilities]):
     def __iter__(self) -> Iterator[EventProbabilities]:
         if self._rows is not None:
             return iter(self._rows)
+        return self._build_rows()
+
+    def _build_rows(self) -> Iterator[EventProbabilities]:
         # One tolist() per column: cheaper than indexing row by row.
         return (
             EventProbabilities(pr_ta, pr_na, pr_pa, tuple(attack), self.method)

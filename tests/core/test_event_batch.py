@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.probability import EventBatch, EventProbabilities
+from repro.core.probability import EAGER_ROW_LIMIT, EventBatch, EventProbabilities
 from repro.protocols import (
     EagerS,
     GreedyS,
@@ -47,17 +47,23 @@ GOOD_ROW = (0.25, 0.5, 0.25)
         (0.25, math.nan, 0.75),
     ],
 )
-def test_invalid_row_raises_the_scalar_error(bad_row):
+@pytest.mark.parametrize("size", [3, EAGER_ROW_LIMIT + 24])
+def test_invalid_row_raises_the_scalar_error(bad_row, size):
+    # Small batches validate by building rows, larger ones with numpy:
+    # both must raise the first failing row's own error.
     scalar = _error(lambda: EventProbabilities(*bad_row, (0.0, 0.0), "closed-form"))
-    batched = _error(lambda: _batch([GOOD_ROW, bad_row, GOOD_ROW]))
-    assert batched == scalar
+    rows = [GOOD_ROW] * size
+    rows[size - 2] = bad_row
+    assert _error(lambda: _batch(rows)) == scalar
 
 
-def test_tolerances_match_the_scalar_checks():
+@pytest.mark.parametrize("size", [2, EAGER_ROW_LIMIT + 24])
+def test_tolerances_match_the_scalar_checks(size):
     # Inside both tolerances: accepted by the scalar type and the batch.
     edge = (0.5, 0.5, 5e-10)
     EventProbabilities(*edge, (0.0, 0.0), "closed-form")
-    assert len(_batch([edge, (-5e-13, 0.5, 0.5)])) == 2
+    rows = [edge, (-5e-13, 0.5, 0.5)] * (size // 2)
+    assert len(_batch(rows)) == len(rows)
 
 
 def _list_finisher(rule, counts, heard):
