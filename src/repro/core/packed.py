@@ -82,7 +82,7 @@ class OrbitReductionUnsupported(ValueError):
     ``ValueError`` subclass, so legacy ``except ValueError`` handlers
     keep working).  Callers that can tolerate streaming should catch
     it and fall back to :func:`enumerate_orbit_representatives`, the
-    lazy path, which has no width limit.
+    lazy pure-python path, which has no width limit.
     """
 
 
@@ -427,10 +427,6 @@ def enumerate_packed_runs(
             yield PackedRun(layout, (message_counter << m) | input_mask)
 
 
-#: One uint64 word holds a run of at most this many bits.
-MAX_WORD_BITS = 64
-
-
 def packed_run_chunks(
     topology: Topology,
     num_rounds: Round,
@@ -443,13 +439,14 @@ def packed_run_chunks(
     in its order (input sets outer, message counter inner), but each
     slice is one ``np.arange`` and a few whole-array bit operations:
     no per-run Python object, and memory stays at one slice however
-    large the space.  Layouts wider than one word are refused.
+    large the space.  Layouts wider than
+    :data:`MAX_VECTOR_ORBIT_BITS` are refused.
     """
     layout = layout_for(topology, num_rounds)
-    if layout.num_bits > MAX_WORD_BITS:
-        raise OrbitReductionUnsupported(
+    if layout.num_bits > MAX_VECTOR_ORBIT_BITS:
+        raise ValueError(
             f"run space of {layout.num_bits} bits exceeds the "
-            f"single-word limit of {MAX_WORD_BITS}; stream "
+            f"single-word limit of {MAX_VECTOR_ORBIT_BITS}; stream "
             "enumerate_packed_runs instead"
         )
     m = np.uint64(layout.num_processes)
@@ -658,46 +655,28 @@ def enumerate_orbit_representatives(
     """Lazily yield ``(representative, orbit_size)`` pairs.
 
     The group is filtered by :func:`orbit_tables`.  Covers exactly the
-    runs :func:`enumerate_packed_runs` yields, in that order: orbit
-    sizes over the representatives sum to the space size.  Single-word
-    layouts are reduced a :func:`packed_run_chunks` slice at a time by
-    :func:`orbit_reduce`; wider layouts fall back to a per-run scan,
-    which has no width limit.
+    runs :func:`enumerate_packed_runs` yields: orbit sizes over the
+    representatives sum to the space size.
     """
-    layout = layout_for(topology, num_rounds)
     tables = orbit_tables(topology, num_rounds, fixing, inputs)
-    if layout.num_bits > MAX_VECTOR_ORBIT_BITS:
-        yield from _scan_orbit_representatives(
-            topology, num_rounds, tables, inputs
-        )
-        return
-    for chunk in packed_run_chunks(topology, num_rounds, inputs):
-        mask, sizes = orbit_reduce(layout, chunk, tables)
-        for bits, size in zip(chunk[mask].tolist(), sizes.tolist()):
-            yield PackedRun(layout, bits), size
-
-
-def _scan_orbit_representatives(
-    topology: Topology,
-    num_rounds: Round,
-    tables: Sequence[Sequence[int]],
-    inputs: Optional[Iterable[ProcessId]],
-) -> Iterator[Tuple[PackedRun, int]]:
-    """The per-run orbit scan for layouts past one word."""
     for packed in enumerate_packed_runs(topology, num_rounds, inputs):
+        if not tables:
+            yield packed, 1
+            continue
         images = {packed.bits}
+        is_rep = True
         for table in tables:
             image = permute_bits(packed.bits, table)
             if image < packed.bits:
+                is_rep = False
                 break
             images.add(image)
-        else:
+        if is_rep:
             yield packed, len(images)
 
 
 __all__ = [
     "MAX_VECTOR_ORBIT_BITS",
-    "MAX_WORD_BITS",
     "OrbitReductionUnsupported",
     "PackedRun",
     "RunBatch",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..analysis.report import ExperimentReport
 from ..core.packed import (
@@ -153,11 +153,6 @@ def assert_in_report(
     return condition
 
 
-#: ``packed_kernel_benchmark`` times this many identical packed sweeps
-#: and reports the fastest.
-PACKED_SWEEP_REPEATS = 5
-
-
 def packed_kernel_benchmark(
     report: ExperimentReport,
     config: Config,
@@ -176,8 +171,7 @@ def packed_kernel_benchmark(
     * ``packed_seconds`` — one orbit-reduced sweep on the exhaustive
       search's path: :func:`~repro.core.packed.packed_run_chunks`
       slices, :func:`~repro.core.packed.orbit_reduce`, and one
-      :meth:`Engine.evaluate_packed_many` batch per slice (the fastest
-      of :data:`PACKED_SWEEP_REPEATS` sweeps);
+      :meth:`Engine.evaluate_packed_many` batch per slice;
     * ``kernel_speedup`` — their ratio, with
       ``symmetry_reduction_factor`` reporting how much of it the orbit
       reduction contributed.
@@ -215,27 +209,19 @@ def packed_kernel_benchmark(
     # one batch, and weight the PA column by the orbit sizes.
     vectorized = Engine(backend="vectorized")
 
-    def packed_sweep() -> Tuple[float, int]:
-        tables = orbit_tables(topology, num_rounds, (), inputs)
-        weighted = 0.0
-        representatives = 0
-        for block in packed_run_chunks(topology, num_rounds, inputs, chunk):
-            mask, sizes = orbit_reduce(layout, block, tables)
-            reps = block[mask]
-            results = vectorized.evaluate_packed_many(
-                protocol, topology, RunBatch(layout, reps.reshape(-1, 1))
-            )
-            weighted += float(sizes @ results.pr_partial_attack)
-            representatives += len(reps)
-        return weighted, representatives
-
-    # One sweep takes a few milliseconds, so a single timing is mostly
-    # scheduler noise: keep the fastest of a few identical sweeps.
-    packed_seconds = float("inf")
-    for _ in range(PACKED_SWEEP_REPEATS):
-        started = monotonic()
-        weighted, representatives = packed_sweep()
-        packed_seconds = min(packed_seconds, monotonic() - started)
+    started = monotonic()
+    tables = orbit_tables(topology, num_rounds, (), inputs)
+    weighted = 0.0
+    representatives = 0
+    for block in packed_run_chunks(topology, num_rounds, inputs, chunk):
+        mask, sizes = orbit_reduce(layout, block, tables)
+        reps = block[mask]
+        results = vectorized.evaluate_packed_many(
+            protocol, topology, RunBatch(layout, reps.reshape(-1, 1))
+        )
+        weighted += float(sizes @ results.pr_partial_attack)
+        representatives += len(reps)
+    packed_seconds = monotonic() - started
 
     # Parity: the same aggregate from the unreduced packed sweep.
     full = 0.0

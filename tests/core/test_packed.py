@@ -148,18 +148,16 @@ class TestEnumeration:
             p.bits for p in enumerate_packed_runs(topology, num_rounds, inputs)
         ]
 
-    def test_chunks_cover_a_full_word(self):
-        # complete(4) at N = 5 is 64 bits: one past the orbit cap but
-        # still one uint64 word per run.
-        topology = Topology.complete(4)
-        fixed = frozenset(topology.processes)
-        first = next(packed_run_chunks(topology, 5, fixed, 3))
+    def test_chunks_cover_the_widest_layout(self):
+        # path(3) at N = 15 is 63 bits, the widest layout chunked.
+        fixed = frozenset(PATH3.processes)
+        first = next(packed_run_chunks(PATH3, 15, fixed, 3))
         assert first.tolist() == [
             p.bits
-            for p in itertools.islice(enumerate_packed_runs(topology, 5, fixed), 3)
+            for p in itertools.islice(enumerate_packed_runs(PATH3, 15, fixed), 3)
         ]
-        with pytest.raises(OrbitReductionUnsupported, match="single-word"):
-            next(packed_run_chunks(Topology.complete(5), 4))
+        with pytest.raises(ValueError, match="single-word"):
+            next(packed_run_chunks(Topology.complete(4), 5))
 
     def test_enumeration_is_lazy(self):
         # Both enumerators are generators: taking a prefix must not
@@ -276,18 +274,32 @@ class TestOrbitReduction:
         assert weighted == full
 
     def test_lazy_generator_matches_vectorized_reduce(self):
-        layout, space = packed_run_space(K3, 1)
-        tables = orbit_tables(K3, 1)
-        mask, sizes = orbit_reduce(layout, space, tables)
-        reduced = [
-            (int(bits), int(size))
-            for bits, size in zip(space[mask], sizes)
+        # The lazy generator is the per-run permute_bits scan: the
+        # scalar oracle for orbit_reduce and its shift-grouped images.
+        cases = [
+            (K3, 1, (), None),
+            (K3, 1, (1,), None),  # Protocol S's coordinator fixed
+            (K3, 2, (1,), frozenset({2, 3})),
+            (STAR4, 1, (), None),
+            (STAR4, 1, (1,), None),  # the center
+            (STAR4, 1, (2,), None),  # a leaf
         ]
-        lazy = [
-            (packed.bits, size)
-            for packed, size in enumerate_orbit_representatives(K3, 1)
-        ]
-        assert reduced == lazy
+        for topology, num_rounds, fixing, inputs in cases:
+            layout, space = packed_run_space(topology, num_rounds, inputs)
+            tables = orbit_tables(topology, num_rounds, fixing, inputs)
+            assert tables
+            mask, sizes = orbit_reduce(layout, space, tables)
+            reduced = [
+                (int(bits), int(size))
+                for bits, size in zip(space[mask], sizes)
+            ]
+            lazy = [
+                (packed.bits, size)
+                for packed, size in enumerate_orbit_representatives(
+                    topology, num_rounds, fixing, inputs
+                )
+            ]
+            assert reduced == lazy
 
     def test_fixing_shrinks_the_group(self):
         # Fixing the star center's leaf-permutation freedom: fixing a
