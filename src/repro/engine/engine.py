@@ -20,10 +20,14 @@ never changes a claim check — only wall time.
 Results whose method is exact (closed form or enumeration) are
 memoized in a pluggable :class:`~repro.engine.cache.EngineCache`
 (default: a bounded FIFO :class:`~repro.engine.cache.InProcessCache`)
-keyed on the hashable, immutable ``(protocol, topology, run)`` triple,
-so greedy and random searches stop re-simulating duplicate neighbors
-and repeated certification passes (e.g. E16's family search after an
-exhaustive sweep) become cache hits.  Serving shards use the
+keyed on the hashable, immutable ``(protocol, topology, run)`` triple.
+Every run-level call memoizes — scalar and batch evaluation, greedy
+neighborhoods, the reference fallback of a packed batch — so family,
+greedy and random searches stop re-simulating duplicate runs.  The
+one exception is a packed batch the numpy kernel evaluates (the
+exhaustive sweep's chunks): each of those runs is visited once, so
+it writes no entries, and a family search after an exhaustive sweep
+re-evaluates its runs.  Serving shards use the
 snapshot-capable :class:`~repro.engine.cache.ShardLocalCache` variant
 for warm starts.  Monte-Carlo results are never cached: caching them
 would silently freeze sampling noise and perturb downstream rng
@@ -58,6 +62,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    cast,
 )
 
 from ..core.packed import PackedRun, RunBatch, layout_for
@@ -214,7 +219,6 @@ class Engine:
 
     backend: str = "auto"
     cache_size: int = DEFAULT_CACHE_SIZE
-    min_vectorized_batch: int = MIN_VECTORIZED_BATCH
     obs: Optional[Obs] = None
     stats: Optional[EngineStats] = field(default=None, repr=False)
     cache: Optional[EngineCache] = field(default=None, repr=False)
@@ -525,7 +529,7 @@ class Engine:
             return False
         if self.backend == "vectorized":
             return True
-        return batch >= self.min_vectorized_batch
+        return batch >= MIN_VECTORIZED_BATCH
 
     def _wants_meanfield(
         self, protocol: Protocol, topology: Topology, method: str
@@ -546,6 +550,108 @@ class Engine:
 
     # -- evaluation ----------------------------------------------------
 
+    @contextmanager
+    def _accounted(
+        self, operation: str, num_runs: int, batch: bool, **attributes: object
+    ) -> Iterator["_Tally"]:
+        """The accounting every evaluation method shares.
+
+        Opens the ``operation`` span, marks the call in flight, counts
+        ``num_runs`` requested runs (and one batch call when
+        ``batch``), then — once the body returns — books the seconds
+        it spent under :meth:`_Tally.work` as wall time and one latency
+        sample, unless every run was a cache hit, and fires
+        :attr:`span_hook`.  The body reports its cache misses on the
+        yielded tally (all runs, unless it says otherwise).
+        """
+        tally = _Tally(num_runs)
+        with self.obs.tracer.span(operation, **attributes), self._evaluating():
+            if batch:
+                self._batch_counter.value += 1
+            self._runs_counter.value += num_runs
+            yield tally
+            if tally.misses:
+                self._wall_counter.value += tally.seconds
+                self._latency_histogram.observe(tally.seconds)
+            if self.span_hook is not None:
+                self.span_hook(
+                    operation,
+                    tally.seconds,
+                    {
+                        "runs": num_runs,
+                        "cache_hits": num_runs - tally.misses,
+                        "cache_misses": tally.misses,
+                    },
+                )
+
+    def _evaluate_runs(
+        self,
+        protocol: Protocol,
+        topology: Topology,
+        runs: Sequence[Run],
+        method: str,
+        trials: int,
+        rng: Optional[random.Random],
+        enumeration_limit: int,
+        tally: "_Tally",
+    ) -> List[EventProbabilities]:
+        """Cache lookups, then one backend dispatch for the misses."""
+        keys = [
+            self.cache_key(protocol, topology, run, method, trials)
+            for run in runs
+        ]
+        results: List[Optional[EventProbabilities]] = [
+            self._cache_get(key) for key in keys
+        ]
+        pending = [index for index, result in enumerate(results) if result is None]
+        tally.misses = len(pending)
+        done = cast(List[EventProbabilities], results)
+        if not pending:
+            return done
+        with tally.work():
+            if self._wants_vectorized(
+                protocol, topology, method, batch=len(pending)
+            ):
+                self._evaluate_pending_vectorized(
+                    protocol, topology, runs, results, keys, pending
+                )
+                return done
+            assert self.cache is not None
+            meanfield = self._wants_meanfield(protocol, topology, method)
+            seen = set()
+            for index in pending:
+                key = keys[index]
+                # A key evaluated earlier in this batch is re-read, so a
+                # duplicate run is evaluated once (exact results only;
+                # Monte-Carlo estimates are never cached, so re-sample).
+                cached = self.cache.get(key) if key in seen else None
+                if cached is not None:
+                    results[index] = cached
+                    continue
+                if key is not None:
+                    seen.add(key)
+                if meanfield:
+                    from ..meanfield import evaluate_counter
+
+                    result = evaluate_counter(protocol, topology, runs[index])
+                    self._meanfield_counter.value += 1
+                else:
+                    result = evaluate(
+                        protocol,
+                        topology,
+                        runs[index],
+                        method=method,
+                        trials=trials,
+                        rng=rng,
+                        enumeration_limit=enumeration_limit,
+                    )
+                    self._reference_counter.value += 1
+                if result.method == "monte-carlo" and result.trials:
+                    self._mc_trials_counter.inc(result.trials)
+                self._cache_put(key, result)
+                results[index] = result
+        return done
+
     def evaluate(
         self,
         protocol: Protocol,
@@ -556,59 +662,25 @@ class Engine:
         rng: Optional[random.Random] = None,
         enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
     ) -> EventProbabilities:
-        """Cached scalar evaluation (reference semantics)."""
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            span = tracer.span(
-                "engine.evaluate", protocol=protocol.name, method=method
+        """Cached scalar evaluation (reference semantics).
+
+        A batch of one through the same cache and dispatch as
+        :meth:`evaluate_many`, under its own ``engine.evaluate`` span
+        and without counting a batch call.
+        """
+        with self._accounted(
+            "engine.evaluate", 1, batch=False,
+            protocol=protocol.name, method=method,
+        ) as tally:
+            (result,) = self._evaluate_runs(
+                protocol, topology, [run], method, trials, rng,
+                enumeration_limit, tally,
             )
-        else:
-            span = tracer.span("engine.evaluate")
-        with span, self._evaluating():
-            self._runs_counter.value += 1
-            key = self.cache_key(protocol, topology, run, method, trials)
-            cached = self._cache_get(key)
-            if cached is not None:
-                return cached
-            started = monotonic()
-            if self._wants_meanfield(protocol, topology, method):
-                from ..meanfield import evaluate_counter
-
-                result = evaluate_counter(protocol, topology, run)
-                self._meanfield_counter.value += 1
-            elif self._wants_vectorized(protocol, topology, method, batch=1):
-                from . import vectorized
-
-                result = vectorized.evaluate_batch(protocol, topology, [run])[0]
-                self._vectorized_counter.value += 1
-            else:
-                result = evaluate(
-                    protocol,
-                    topology,
-                    run,
-                    method=method,
-                    trials=trials,
-                    rng=rng,
-                    enumeration_limit=enumeration_limit,
-                )
-                self._reference_counter.value += 1
-            elapsed = monotonic() - started
-            self._wall_counter.value += elapsed
-            self._latency_histogram.observe(elapsed)
-            if self.span_hook is not None:
-                self.span_hook(
-                    "engine.evaluate",
-                    elapsed,
-                    {"runs": 1, "cache_hits": 0, "cache_misses": 1},
-                )
-            if result.method == "monte-carlo" and result.trials:
-                self._mc_trials_counter.inc(result.trials)
-            self._cache_put(key, result)
-            if self.obs.exec_trace and tracer.enabled:
+            if tally.misses and self.obs.exec_trace and self.obs.tracer.enabled:
                 from ..obs.exec_trace import trace_execution
 
-                trace_execution(protocol, topology, run, tracer)
-            return result
+                trace_execution(protocol, topology, run, self.obs.tracer)
+        return result
 
     def evaluate_many(
         self,
@@ -628,99 +700,14 @@ class Engine:
         change how fast the answers arrive.
         """
         runs = list(runs)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            span = tracer.span(
-                "engine.evaluate_many",
-                protocol=protocol.name,
-                method=method,
-                runs=len(runs),
+        with self._accounted(
+            "engine.evaluate_many", len(runs), batch=True,
+            protocol=protocol.name, method=method, runs=len(runs),
+        ) as tally:
+            return self._evaluate_runs(
+                protocol, topology, runs, method, trials, rng,
+                enumeration_limit, tally,
             )
-        else:
-            span = tracer.span("engine.evaluate_many")
-        with span, self._evaluating():
-            self._batch_counter.value += 1
-            self._runs_counter.value += len(runs)
-            results: List[Optional[EventProbabilities]] = [None] * len(runs)
-            keys: List[Optional[tuple]] = [None] * len(runs)
-            pending: List[int] = []
-            for index, run in enumerate(runs):
-                key = self.cache_key(protocol, topology, run, method, trials)
-                keys[index] = key
-                cached = self._cache_get(key)
-                if cached is not None:
-                    results[index] = cached
-                else:
-                    pending.append(index)
-            if not pending:
-                if self.span_hook is not None:
-                    self.span_hook(
-                        "engine.evaluate_many",
-                        0.0,
-                        {
-                            "runs": len(runs),
-                            "cache_hits": len(runs),
-                            "cache_misses": 0,
-                        },
-                    )
-                return [result for result in results if result is not None]
-            started = monotonic()
-            if self._wants_vectorized(
-                protocol, topology, method, batch=len(pending)
-            ):
-                self._evaluate_pending_vectorized(
-                    protocol, topology, runs, results, keys, pending
-                )
-            else:
-                for index in pending:
-                    # Re-consult the cache so duplicate runs inside one
-                    # batch are evaluated once (exact results only; the
-                    # cache never stores Monte-Carlo estimates).
-                    assert self.cache is not None
-                    cached = (
-                        self.cache.get(keys[index])
-                        if keys[index] is not None
-                        else None
-                    )
-                    if cached is not None:
-                        results[index] = cached
-                        continue
-                    if self._wants_meanfield(protocol, topology, method):
-                        from ..meanfield import evaluate_counter
-
-                        result = evaluate_counter(
-                            protocol, topology, runs[index]
-                        )
-                        self._meanfield_counter.value += 1
-                    else:
-                        result = evaluate(
-                            protocol,
-                            topology,
-                            runs[index],
-                            method=method,
-                            trials=trials,
-                            rng=rng,
-                            enumeration_limit=enumeration_limit,
-                        )
-                        self._reference_counter.value += 1
-                    if result.method == "monte-carlo" and result.trials:
-                        self._mc_trials_counter.inc(result.trials)
-                    self._cache_put(keys[index], result)
-                    results[index] = result
-            elapsed = monotonic() - started
-            self._wall_counter.value += elapsed
-            self._latency_histogram.observe(elapsed)
-            if self.span_hook is not None:
-                self.span_hook(
-                    "engine.evaluate_many",
-                    elapsed,
-                    {
-                        "runs": len(runs),
-                        "cache_hits": len(runs) - len(pending),
-                        "cache_misses": len(pending),
-                    },
-                )
-            return [result for result in results if result is not None]
 
     def _evaluate_pending_vectorized(
         self,
@@ -761,24 +748,18 @@ class Engine:
         batch: RunBatch,
         method: str = "auto",
         trials: int = DEFAULT_TRIALS,
-        use_cache: bool = False,
     ) -> EventBatch:
         """Evaluate a :class:`RunBatch`, packed end-to-end when possible.
 
         When the vectorized kernel supports the pair, the batch's words
-        feed it directly — no ``Run`` objects exist at any point, and
-        the :class:`~repro.core.probability.EventBatch` it returns holds
-        the event columns as arrays.  Otherwise the batch is unpacked
-        and delegated to :meth:`evaluate_many` (reference semantics)
-        and the results are wrapped with
-        :meth:`EventBatch.from_results`, so the call is total either
-        way and results are bit-identical across paths.
-
-        ``use_cache`` defaults to False: the bulk callers (exhaustive
-        packed sweeps) visit each run exactly once, so per-run memo
-        traffic would only add overhead and evict genuinely reusable
-        entries.  Pass True to memoize each result under the same
-        packed keys the scalar path uses.
+        feed it directly — no ``Run`` objects exist at any point, the
+        :class:`~repro.core.probability.EventBatch` it returns holds
+        the event columns as arrays, and nothing is memoized (the bulk
+        caller, the exhaustive sweep, visits each run once).  Otherwise
+        the batch is unpacked and delegated to :meth:`evaluate_many`
+        (reference semantics, memoized) and the results are wrapped
+        with :meth:`EventBatch.from_results`, so the call is total
+        either way and results are bit-identical across paths.
         """
         if len(batch) == 0:
             return EventBatch.from_results([])
@@ -796,58 +777,15 @@ class Engine:
             )
         from . import vectorized
 
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            span = tracer.span(
-                "engine.evaluate_packed_many",
-                protocol=protocol.name,
-                method=method,
-                runs=len(batch),
-            )
-        else:
-            span = tracer.span("engine.evaluate_packed_many")
-        with span, self._evaluating():
-            self._batch_counter.value += 1
-            self._runs_counter.value += len(batch)
-            started = monotonic()
+        with self._accounted(
+            "engine.evaluate_packed_many", len(batch), batch=True,
+            protocol=protocol.name, method=method, runs=len(batch),
+        ) as tally, tally.work():
             results = vectorized.evaluate_packed_batch(
                 protocol, topology, batch
             )
             self._vectorized_counter.value += len(batch)
-            if use_cache:
-                for index, result in enumerate(results):
-                    key = self.packed_cache_key(
-                        protocol, topology, batch.packed(index), method, trials
-                    )
-                    self._cache_put(key, result)
-            elapsed = monotonic() - started
-            self._wall_counter.value += elapsed
-            self._latency_histogram.observe(elapsed)
-            if self.span_hook is not None:
-                self.span_hook(
-                    "engine.evaluate_packed_many",
-                    elapsed,
-                    {
-                        "runs": len(batch),
-                        "cache_hits": 0,
-                        "cache_misses": len(batch),
-                    },
-                )
-            return results
-
-    def supports_incremental(
-        self, protocol: Protocol, topology: Topology
-    ) -> bool:
-        """Whether :meth:`evaluate_neighbors` can serve this pair.
-
-        The incremental kernel is a vectorized-backend feature; under
-        ``backend="reference"`` (or ``"meanfield"``) callers should
-        evaluate neighbors through :meth:`evaluate_many` instead (same
-        results, no prefix-state reuse).
-        """
-        return self.backend in ("auto", "vectorized") and self.supports_vectorized(
-            protocol, topology
-        )
+        return results
 
     def evaluate_neighbors(
         self,
@@ -857,38 +795,42 @@ class Engine:
         method: str = "auto",
         trials: int = DEFAULT_TRIALS,
     ) -> Tuple[EventProbabilities, List[EventProbabilities]]:
-        """A run and all of its single-bit neighbors, incrementally.
+        """A run and all of its single-bit neighbors.
 
-        Returns ``(parent_result, by_bit)`` — see
-        :func:`repro.engine.vectorized.evaluate_neighbor_batch`; each
-        neighbor re-derives its counts from the parent's cached
-        per-round state instead of simulating from scratch.  All
-        results are exact and are memoized under the packed cache
-        keys.  Raises ``ValueError`` when
-        :meth:`supports_incremental` is False for the pair.
+        Returns ``(parent_result, by_bit)``, where ``by_bit[b]`` is the
+        result for the parent with bit ``b`` flipped.  Where the
+        vectorized backend supports the pair, the neighborhood is
+        evaluated incrementally (see
+        :func:`repro.engine.vectorized.evaluate_neighbor_batch`): each
+        neighbor re-derives its counts from the parent's per-round
+        state instead of simulating from scratch.  Otherwise the
+        parent and its flips go through :meth:`evaluate_packed_many`
+        as one :class:`RunBatch` (the reference fallback).  Either way
+        every exact result is memoized under its packed cache key.
         """
-        if not self.supports_incremental(protocol, topology):
-            raise ValueError(
-                "incremental neighbor evaluation requires the vectorized "
-                f"backend to support protocol {protocol.name!r} on this "
-                "topology"
+        layout = parent.layout
+        num_neighbors = layout.num_bits
+        if self.backend in ("reference", "meanfield") or not (
+            self.supports_vectorized(protocol, topology)
+        ):
+            neighborhood = self.evaluate_packed_many(
+                protocol,
+                topology,
+                RunBatch.from_bits(
+                    layout,
+                    [parent.bits]
+                    + [parent.bits ^ (1 << bit) for bit in range(num_neighbors)],
+                ),
+                method=method,
+                trials=trials,
             )
+            return neighborhood[0], neighborhood[1:]
         from . import vectorized
 
-        num_neighbors = parent.layout.num_bits
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            span = tracer.span(
-                "engine.evaluate_neighbors",
-                protocol=protocol.name,
-                neighbors=num_neighbors,
-            )
-        else:
-            span = tracer.span("engine.evaluate_neighbors")
-        with span, self._evaluating():
-            self._batch_counter.value += 1
-            self._runs_counter.value += 1 + num_neighbors
-            started = monotonic()
+        with self._accounted(
+            "engine.evaluate_neighbors", 1 + num_neighbors, batch=True,
+            protocol=protocol.name, neighbors=num_neighbors,
+        ) as tally, tally.work():
             parent_result, by_bit = vectorized.evaluate_neighbor_batch(
                 protocol, topology, parent
             )
@@ -906,20 +848,7 @@ class Engine:
                     trials,
                 )
                 self._cache_put(key, result)
-            elapsed = monotonic() - started
-            self._wall_counter.value += elapsed
-            self._latency_histogram.observe(elapsed)
-            if self.span_hook is not None:
-                self.span_hook(
-                    "engine.evaluate_neighbors",
-                    elapsed,
-                    {
-                        "runs": 1 + num_neighbors,
-                        "cache_hits": 0,
-                        "cache_misses": 1 + num_neighbors,
-                    },
-                )
-            return parent_result, by_bit
+        return parent_result, by_bit
 
     # -- scaled (parametric) evaluation --------------------------------
 
@@ -938,41 +867,26 @@ class Engine:
         """
         from ..meanfield import evaluate_spec
 
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            span = tracer.span(
-                "engine.evaluate_scaled",
-                protocol=protocol.name,
-                num_processes=spec.num_processes,
-            )
-        else:
-            span = tracer.span("engine.evaluate_scaled")
-        with span, self._evaluating():
-            self._runs_counter.value += 1
+        with self._accounted(
+            "engine.evaluate_scaled", 1, batch=False,
+            protocol=protocol.name, num_processes=spec.num_processes,
+        ) as tally:
             key = self.counter_cache_key(protocol, spec)
             if key is not None:
                 cached = self._scaled_cache.get(key)
                 if cached is not None:
                     self._hit_counter.value += 1
+                    tally.misses = 0
                     return cached
                 self._miss_counter.value += 1
-            started = monotonic()
-            result = evaluate_spec(protocol, spec)
-            self._meanfield_counter.value += 1
-            elapsed = monotonic() - started
-            self._wall_counter.value += elapsed
-            self._latency_histogram.observe(elapsed)
-            if self.span_hook is not None:
-                self.span_hook(
-                    "engine.evaluate_scaled",
-                    elapsed,
-                    {"runs": 1, "cache_hits": 0, "cache_misses": 1},
-                )
+            with tally.work():
+                result = evaluate_spec(protocol, spec)
+                self._meanfield_counter.value += 1
             if key is not None:
                 while len(self._scaled_cache) >= SCALED_CACHE_SIZE:
                     self._scaled_cache.pop(next(iter(self._scaled_cache)))
                 self._scaled_cache[key] = result
-            return result
+        return result
 
     # -- weak-adversary fast paths ------------------------------------
 
@@ -987,24 +901,15 @@ class Engine:
         """Vectorized two-general ``E[L]``/``E[U]`` sweep for Protocol S."""
         from . import vectorized
 
-        with self.obs.tracer.span(
-            "engine.pair_weak_estimate",
-            protocol="S",
-            samples=samples,
-            num_rounds=num_rounds,
-        ):
-            started = monotonic()
-            try:
-                self._runs_counter.inc(samples)
-                self._vectorized_counter.inc(samples)
-                self._mc_trials_counter.inc(samples)
-                return vectorized.pair_protocol_s_weak_estimate(
-                    num_rounds, epsilon, loss_probability, samples, rng
-                )
-            finally:
-                elapsed = monotonic() - started
-                self._wall_counter.value += elapsed
-                self._latency_histogram.observe(elapsed)
+        with self._accounted(
+            "engine.pair_weak_estimate", samples, batch=False,
+            protocol="S", samples=samples, num_rounds=num_rounds,
+        ) as tally, tally.work():
+            self._vectorized_counter.inc(samples)
+            self._mc_trials_counter.inc(samples)
+            return vectorized.pair_protocol_s_weak_estimate(
+                num_rounds, epsilon, loss_probability, samples, rng
+            )
 
     def pair_weak_estimate_w(
         self,
@@ -1017,24 +922,32 @@ class Engine:
         """Vectorized two-general ``E[L]``/``E[U]`` sweep for Protocol W."""
         from . import vectorized
 
-        with self.obs.tracer.span(
-            "engine.pair_weak_estimate",
-            protocol="W",
-            samples=samples,
-            num_rounds=num_rounds,
-        ):
-            started = monotonic()
-            try:
-                self._runs_counter.inc(samples)
-                self._vectorized_counter.inc(samples)
-                self._mc_trials_counter.inc(samples)
-                return vectorized.pair_protocol_w_weak_estimate(
-                    num_rounds, threshold, loss_probability, samples, rng
-                )
-            finally:
-                elapsed = monotonic() - started
-                self._wall_counter.value += elapsed
-                self._latency_histogram.observe(elapsed)
+        with self._accounted(
+            "engine.pair_weak_estimate", samples, batch=False,
+            protocol="W", samples=samples, num_rounds=num_rounds,
+        ) as tally, tally.work():
+            self._vectorized_counter.inc(samples)
+            self._mc_trials_counter.inc(samples)
+            return vectorized.pair_protocol_w_weak_estimate(
+                num_rounds, threshold, loss_probability, samples, rng
+            )
+
+
+class _Tally:
+    """What one accounted evaluation reports to :meth:`Engine._accounted`."""
+
+    __slots__ = ("misses", "seconds")
+
+    def __init__(self, misses: int) -> None:
+        self.misses = misses
+        self.seconds = 0.0
+
+    @contextmanager
+    def work(self) -> Iterator[None]:
+        """Time backend work; cache lookups stay outside the clock."""
+        started = monotonic()
+        yield
+        self.seconds += monotonic() - started
 
 
 _default_engine: Optional[Engine] = None

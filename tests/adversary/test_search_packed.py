@@ -1,13 +1,14 @@
-"""Packed search paths: parity with the legacy tuple-set paths.
+"""Packed search paths: parity between the kernel and the reference path.
 
-The refactor's acceptance bar — ``exhaustive_search`` and
-``greedy_search`` must return bit-identical ``SearchResult`` values to
-the pre-refactor implementation.  The reference backend still runs the
-legacy code (per-Run ``_search_over`` scan, tuple-flip greedy loop),
-so these tests pit each packed path against it directly: same maxima,
-same witnesses, same ``runs_examined`` budgets, for both the unsafety
-objective (``U_s``) and the negated-liveness objective (``L(R)``
-minimization), on K2/K3/chain/star instances.
+``exhaustive_search`` and ``greedy_search`` must return bit-identical
+``SearchResult`` values whichever backend evaluates their runs.  Under
+the reference backend the packed batches and greedy neighborhoods are
+unpacked and evaluated by the reference simulator, so these tests pit
+the numpy kernel against it directly: same maxima, same witnesses,
+same ``runs_examined`` budgets, for both the unsafety objective
+(``U_s``) and the negated-liveness objective (``L(R)`` minimization),
+on K2/K3/chain/star instances.  The tuple-flip greedy oracle lives in
+``test_greedy_golden.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.adversary.search import (
     negated_liveness_objective,
     unsafety_objective,
 )
+from repro.core.packed import layout_for
 from repro.core.run import good_run, random_run, run_space_size
 from repro.core.topology import Topology
 from repro.engine import Engine
@@ -200,17 +202,27 @@ class TestGreedyParity:
             assert incremental.run == legacy.run
             assert incremental.runs_examined == legacy.runs_examined
 
-    def test_incremental_path_is_taken(self, vec_engine):
-        assert vec_engine.supports_incremental(ProtocolW(2), K3)
-        result = greedy_search(
-            ProtocolW(2), K3, 2, good_run(K3, 2), engine=vec_engine
+    @pytest.mark.parametrize(
+        "topology, num_rounds, protocol", INSTANCES + VARIANT_INSTANCES
+    )
+    def test_reference_neighbors_match_vectorized(
+        self, topology, num_rounds, protocol, vec_engine, ref_engine
+    ):
+        parent = layout_for(topology, num_rounds).pack(
+            random_run(topology, num_rounds, random.Random(7))
         )
-        # One seed evaluation plus max_passes full neighborhoods, where
-        # a neighborhood is every single-bit flip of the packed run.
-        from repro.core.packed import layout_for
+        incremental = vec_engine.evaluate_neighbors(protocol, topology, parent)
+        fallback = ref_engine.evaluate_neighbors(protocol, topology, parent)
+        assert fallback == incremental
+        assert len(fallback[1]) == parent.layout.num_bits
+        # The kernel served one side and the reference simulator the
+        # other, so the equality compares the two backends.
+        assert ref_engine.stats.vectorized_evaluations == 0
+        assert vec_engine.stats.reference_evaluations == 0
 
-        num_bits = layout_for(K3, 2).num_bits
-        assert (result.runs_examined - 1) % num_bits == 0
-
-    def test_reference_backend_has_no_incremental(self, ref_engine):
-        assert not ref_engine.supports_incremental(ProtocolW(2), K3)
+    def test_off_horizon_seed_raises(self, vec_engine, ref_engine):
+        for engine in (vec_engine, ref_engine):
+            with pytest.raises(ValueError, match="horizon"):
+                greedy_search(
+                    ProtocolW(2), K3, 2, good_run(K3, 3), engine=engine
+                )
