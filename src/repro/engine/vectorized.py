@@ -406,7 +406,7 @@ def evaluate_packed_batch(
     if batch.layout.topology != topology:
         raise ValueError("batch layout does not match the topology")
     if len(batch) == 0:
-        return []
+        return EventBatch.from_results([])
     rule, coordinator = _protocol_kernel(protocol)
     delivered, inputs = batch.tensors()
     counts, rknown = simulate_counting_batch(

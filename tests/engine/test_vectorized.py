@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.packed import layout_for
-from repro.core.probability import evaluate
+from repro.core.packed import RunBatch, layout_for
+from repro.core.probability import EventBatch, evaluate
 from repro.core.run import Run, bernoulli_run, good_run
 from repro.core.topology import Topology
 from repro.engine import vectorized
@@ -131,6 +131,16 @@ class TestBatchParity:
         batch = vectorized.evaluate_batch(protocol, topology, runs)
         serial = [evaluate(protocol, topology, run) for run in runs]
         assert batch == serial
+
+    def test_empty_packed_batch_is_an_event_batch(self):
+        topology = Topology.pair()
+        empty = RunBatch.from_bits(layout_for(topology, 3), [])
+        result = vectorized.evaluate_packed_batch(
+            ProtocolS(epsilon=0.25), topology, empty
+        )
+        assert isinstance(result, EventBatch)
+        assert len(result) == 0
+        assert result.pr_partial_attack.shape == (0,)
 
 
 class TestSupports:
