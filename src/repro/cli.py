@@ -412,6 +412,20 @@ def _cmd_scale_sweep(args) -> int:
     counts = _parse_process_counts(args.processes)
     obs = _setup_obs(args)
     engine = Engine(backend=args.backend, obs=obs)
+    # W advances only on hearing from every process, so no
+    # class-uniform run straddles its threshold: the family maximum
+    # would read 0 even where U_s(W) = 1 (DESIGN.md section 15).
+    family_blind = type(protocol) is ProtocolW
+    caption = (
+        "parametric counter kernels: cost is independent of m "
+        "(run `repro simulate --backend meanfield` for concrete runs)"
+    )
+    if family_blind:
+        caption += (
+            "; max P[PA] is n/a for W: its worst runs are asymmetric "
+            "(one process misses one message), which the class-uniform "
+            "family cannot express (DESIGN.md section 15)"
+        )
     table = Table(
         title=(
             f"{protocol.name} on K_m, N={args.rounds} "
@@ -425,10 +439,7 @@ def _cmd_scale_sweep(args) -> int:
             "ML(R_good)",
             "wall (ms)",
         ],
-        caption=(
-            "parametric counter kernels: cost is independent of m "
-            "(run `repro simulate --backend meanfield` for concrete runs)"
-        ),
+        caption=caption,
     )
     needs_coordinator = type(protocol) is ProtocolS
     with obs.tracer.span(
@@ -446,8 +457,12 @@ def _cmd_scale_sweep(args) -> int:
                         distinguished=needs_coordinator,
                     ),
                 )
-                worst, _ = unsafety_family(
-                    protocol, num_processes, args.rounds, engine=engine
+                worst = (
+                    "n/a"
+                    if family_blind
+                    else unsafety_family(
+                        protocol, num_processes, args.rounds, engine=engine
+                    )[0]
                 )
             except CounterAbstractionError as error:
                 print(f"m={num_processes}: {error}", file=sys.stderr)

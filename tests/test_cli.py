@@ -244,6 +244,20 @@ class TestMeanfieldCommands:
         assert "counter abstraction" in out
         assert "meanfield evaluations" in out
 
+    def test_scale_sweep_marks_the_w_family_column_na(self, capsys):
+        # U_s(W) = 1 on K_3 at N=3, but the class-uniform family cannot
+        # see W's asymmetric witnesses: the column must not print 0.
+        code = main(
+            ["scale-sweep", "--processes", "3", "--protocol", "W:2",
+             "--rounds", "3"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        row = next(line for line in out.splitlines() if line.startswith("3 "))
+        assert row.split()[2] == "n/a"
+        assert "n/a for W" in out
+        assert "asymmetric" in out
+
     def test_scale_sweep_rejects_incompatible_protocol(self, capsys):
         code = main(
             ["scale-sweep", "--processes", "100", "--protocol", "A",
