@@ -8,7 +8,11 @@ are visible.
 
 import random
 
-from repro.adversary.search import exhaustive_search, family_search
+from repro.adversary.search import (
+    exhaustive_search,
+    family_search,
+    greedy_search,
+)
 from repro.core.execution import decide, execute
 from repro.core.measures import clip, level_profile, modified_level_profile
 from repro.core.probability import exact_probabilities
@@ -85,6 +89,21 @@ def test_orbit_reduced_sweep_protocol_s_star4(benchmark):
         kwargs={"engine": Engine(), "symmetry_reduction": True},
         rounds=5,
         iterations=1,
+    )
+
+
+def test_greedy_search_protocol_a_pair9(benchmark):
+    """Greedy on a protocol the kernel refuses: each pass's neighborhood
+    goes through the reference fallback of ``evaluate_neighbors``."""
+    from repro.engine import Engine
+
+    def fresh_engine():
+        return (ProtocolA(9), PAIR, 9, good_run(PAIR, 9)), {
+            "engine": Engine()
+        }
+
+    benchmark.pedantic(
+        greedy_search, setup=fresh_engine, rounds=5, iterations=1
     )
 
 
