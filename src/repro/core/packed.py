@@ -79,10 +79,9 @@ class OrbitReductionUnsupported(ValueError):
     :func:`packed_run_space` and :func:`orbit_reduce` operate on
     single-uint64 packed runs and refuse layouts wider than
     :data:`MAX_VECTOR_ORBIT_BITS` bits with this exception (a
-    ``ValueError`` subclass, so legacy ``except ValueError`` handlers
-    keep working).  Callers that can tolerate streaming should catch
-    it and fall back to :func:`enumerate_orbit_representatives`, the
-    lazy pure-python path, which has no width limit.
+    ``ValueError`` subclass, so ``except ValueError`` handlers catch
+    it).  :func:`repro.adversary.search.worst_case_unsafety` does: it
+    runs the full, unreduced sweep instead.
     """
 
 
