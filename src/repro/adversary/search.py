@@ -18,25 +18,30 @@ fits a budget, otherwise families + greedy refinement + random probes.
 The objective is pluggable, so the same machinery also *minimizes*
 liveness (via a negated objective) for adversary-tournament studies.
 
-The exhaustive sweep is one loop over packed ``uint64`` chunks of the
-run space (:func:`repro.core.packed.packed_run_chunks`, enumeration
-order): each chunk is cut to its orbit representatives when the
-protocol declares a symmetry, evaluated as one
+Exhaustive, family and random search share one scoring step: runs
+are bitmasks under the ``(topology, num_rounds)``
+:class:`~repro.core.packed.RunLayout`, evaluated as one
 :class:`~repro.core.packed.RunBatch` by
 :meth:`Engine.evaluate_packed_many` (numpy kernel, or the reference
-simulator for protocols the kernel refuses), scored, and arg-maxed.
-Only the winning run is ever unpacked into a :class:`Run`.
+simulator for protocols the kernel refuses), scored column-wise and
+arg-maxed, the first strict maximum winning.  The exhaustive sweep
+feeds it ``uint64`` chunks of the run space
+(:func:`repro.core.packed.packed_run_chunks`, enumeration order), cut
+to their orbit representatives when the protocol declares a symmetry;
+family search feeds it the structured families' masks, random search
+its probes' masks.  Only the winning run is ever unpacked into a
+:class:`Run`.
 
 **Objective contract.**  An objective is *elementwise*: it reads the
 event attributes of its argument (``pr_total_attack``,
 ``pr_no_attack``, ``pr_partial_attack``, ``liveness``, ``unsafety``)
-with arithmetic that works on floats and numpy arrays alike.  Family,
-greedy and random search call it on one
-:class:`~repro.core.probability.EventProbabilities` and get a float;
-the exhaustive sweep calls it once per chunk on an
+with arithmetic that works on floats and numpy arrays alike.  The
+batch scorer calls it on an
 :class:`~repro.core.probability.EventBatch`, whose attributes are the
-event columns, and gets one value per run.  Both shipped objectives
-are attribute reads.
+event columns, and gets one value per run; only greedy search still
+calls it on one scalar
+:class:`~repro.core.probability.EventProbabilities` and gets a float.
+Both shipped objectives are attribute reads.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,11 +59,12 @@ from ..core.packed import (
     orbit_reduce,
     orbit_tables,
     packed_run_chunks,
+    random_run_bits,
 )
 from ..core.probability import EventProbabilities
 from ..core.seeding import spawn_random
 from ..core.protocol import Protocol
-from ..core.run import Run, random_run, run_space_size
+from ..core.run import Run, run_space_size
 from ..core.topology import Topology
 from ..core.types import Round
 from .structured import RunFamily, standard_families
@@ -140,61 +146,35 @@ class SearchResult:
         )
 
 
-def _search_over(
-    protocol: Protocol,
-    topology: Topology,
-    runs: Iterable[Run],
-    objective: Objective,
-    certification: str,
-    strategy: str,
-    trials: int = 2_000,
-    rng: Optional[random.Random] = None,
-    engine=None,
-) -> SearchResult:
-    engine = _resolve_engine(engine)
-    run_list = list(runs)
-    if not run_list:
-        raise ValueError(f"{strategy} search was given no runs")
-    with engine.obs.tracer.span(
-        f"search.{strategy}",
-        protocol=protocol.name,
-        topology=topology.describe(),
-        runs=len(run_list),
-        certification=certification,
-    ):
-        results = engine.evaluate_many(
-            protocol, topology, run_list, trials=trials, rng=rng
-        )
-        # Scan in submission order with a strict ``>``, so the winner
-        # (the first run attaining the maximum) matches the historical
-        # serial loop exactly.
-        best_value = float("-inf")
-        best_run: Optional[Run] = None
-        for run, result in zip(run_list, results):
-            value = objective(result)
-            if value > best_value:
-                best_value = value
-                best_run = run
-    engine.obs.metrics.counter("search.runs_examined").inc(len(run_list))
-    logger.debug(
-        "%s search on %s: value=%.6f over %d runs",
-        strategy,
-        topology.describe(),
-        best_value,
-        len(run_list),
-    )
-    return SearchResult(
-        best_value, best_run, len(run_list), certification, strategy
-    )
-
-
 #: The exhaustive sweep enumerates the run space in slices of this many
 #: runs; each slice is orbit-reduced and evaluated as one batch.
 EXHAUSTIVE_CHUNK = 4_096
 
-#: Monte Carlo trials per run when the sweep falls back to the
+#: Monte Carlo trials per run when a search falls back to the
 #: reference path (exact protocols ignore it).
-EXHAUSTIVE_TRIALS = 2_000
+SEARCH_TRIALS = 2_000
+
+
+def _best_of(
+    protocol: Protocol,
+    topology: Topology,
+    batch: RunBatch,
+    objective: Objective,
+    engine,
+) -> Tuple[float, int]:
+    """Score one batch; returns ``(best_value, index)``.
+
+    One :meth:`Engine.evaluate_packed_many` call, the objective over
+    the event columns, and ``np.argmax``, which takes the first
+    maximum: the run a serial scan in batch order with a strict ``>``
+    would pick.
+    """
+    results = engine.evaluate_packed_many(
+        protocol, topology, batch, trials=SEARCH_TRIALS
+    )
+    values = np.asarray(objective(results), dtype=np.float64)
+    winner = int(np.argmax(values))
+    return float(values[winner]), winner
 
 
 def _sweep(
@@ -210,11 +190,10 @@ def _sweep(
 
     Returns ``(best_value, best_bits, examined)``.  Each chunk is a
     ``uint64`` slice of the space in enumeration order, cut to its
-    orbit representatives when ``tables`` is non-empty, evaluated as
-    one :class:`RunBatch` and scored column-wise by ``objective``.
-    ``np.argmax`` takes the first maximum inside a chunk and a strict
-    ``>`` keeps the earliest across chunks, so the winner is the run a
-    serial scan in enumeration order would pick.
+    orbit representatives when ``tables`` is non-empty and scored by
+    :func:`_best_of`; a strict ``>`` keeps the earliest maximum across
+    chunks, so the winner is the run a serial scan in enumeration
+    order would pick.
     """
     layout = layout_for(topology, num_rounds)
     best_value = float("-inf")
@@ -228,19 +207,64 @@ def _sweep(
             chunk = chunk[mask]
         if not len(chunk):
             continue
-        results = engine.evaluate_packed_many(
+        value, winner = _best_of(
             protocol,
             topology,
             RunBatch(layout, chunk.reshape(-1, 1)),
-            trials=EXHAUSTIVE_TRIALS,
+            objective,
+            engine,
         )
-        values = np.asarray(objective(results), dtype=np.float64)
-        winner = int(np.argmax(values))
-        if values[winner] > best_value:
-            best_value = float(values[winner])
+        if value > best_value:
+            best_value = value
             best_bits = int(chunk[winner])
         examined += len(chunk)
     return best_value, best_bits, examined
+
+
+def _search_bits(
+    protocol: Protocol,
+    topology: Topology,
+    num_rounds: Round,
+    bits: List[int],
+    objective: Objective,
+    certification: str,
+    strategy: str,
+    engine,
+) -> SearchResult:
+    """Score a list of run bitmasks as one batch; unpack the winner."""
+    engine = _resolve_engine(engine)
+    if not bits:
+        raise ValueError(f"{strategy} search was given no runs")
+    layout = layout_for(topology, num_rounds)
+    with engine.obs.tracer.span(
+        f"search.{strategy}",
+        protocol=protocol.name,
+        topology=topology.describe(),
+        runs=len(bits),
+        certification=certification,
+    ):
+        best_value, winner = _best_of(
+            protocol,
+            topology,
+            RunBatch.from_bits(layout, bits),
+            objective,
+            engine,
+        )
+    engine.obs.metrics.counter("search.runs_examined").inc(len(bits))
+    logger.debug(
+        "%s search on %s: value=%.6f over %d runs",
+        strategy,
+        topology.describe(),
+        best_value,
+        len(bits),
+    )
+    return SearchResult(
+        best_value,
+        layout.unpack_bits(bits[winner]),
+        len(bits),
+        certification,
+        strategy,
+    )
 
 
 def exhaustive_search(
@@ -344,14 +368,15 @@ def family_search(
     families: Optional[Sequence[RunFamily]] = None,
     engine=None,
 ) -> SearchResult:
-    """Maximize over the structured families."""
+    """Maximize over the structured families (one batch, family order)."""
     if families is None:
         families = standard_families()
-    runs: List[Run] = []
+    bits: List[int] = []
     for family in families:
-        runs.extend(family.runs(topology, num_rounds))
-    return _search_over(
-        protocol, topology, runs, objective, "family", "family", engine=engine
+        bits.extend(family.bits(topology, num_rounds))
+    return _search_bits(
+        protocol, topology, num_rounds, bits, objective, "family", "family",
+        engine,
     )
 
 
@@ -364,15 +389,19 @@ def random_search(
     rng: Optional[random.Random] = None,
     engine=None,
 ) -> SearchResult:
-    """Probe uniformly random runs."""
+    """Probe uniformly random runs.
+
+    Draws every probe before evaluating any, as
+    :func:`repro.core.run.random_run` would, so ``rng`` ends in the
+    same state.
+    """
     if rng is None:
         rng = spawn_random(0, "adversary", "random-search")
-    runs = (
-        random_run(topology, num_rounds, rng) for _ in range(samples)
-    )
-    return _search_over(
-        protocol, topology, runs, objective, "heuristic", "random",
-        engine=engine,
+    layout = layout_for(topology, num_rounds)
+    bits = [random_run_bits(layout, rng) for _ in range(samples)]
+    return _search_bits(
+        protocol, topology, num_rounds, bits, objective, "heuristic",
+        "random", engine,
     )
 
 
