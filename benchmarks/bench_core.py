@@ -12,6 +12,7 @@ from repro.adversary.search import (
     exhaustive_search,
     family_search,
     greedy_search,
+    random_search,
 )
 from repro.core.execution import decide, execute
 from repro.core.measures import clip, level_profile, modified_level_profile
@@ -20,9 +21,11 @@ from repro.core.run import good_run, random_run
 from repro.core.topology import Topology
 from repro.protocols.protocol_a import ProtocolA
 from repro.protocols.protocol_s import ProtocolS
+from repro.protocols.variants import EagerS
 
 PAIR = Topology.pair()
 RING = Topology.ring(6)
+RING4 = Topology.ring(4)
 STAR4 = Topology.star(4)
 
 
@@ -76,6 +79,38 @@ def test_family_search_protocol_s(benchmark):
     protocol = ProtocolS(epsilon=0.2)
     benchmark.pedantic(
         family_search, args=(protocol, PAIR, 6), rounds=1, iterations=1
+    )
+
+
+def test_random_search_protocol_s_ring4(benchmark):
+    """200 random probes drawn as bitmasks and scored as one batch."""
+    import random as _random
+
+    from repro.engine import Engine
+
+    def fresh_engine():
+        return (ProtocolS(epsilon=0.2), RING4, 2), {
+            "rng": _random.Random(0),
+            "engine": Engine(),
+        }
+
+    benchmark.pedantic(
+        random_search, setup=fresh_engine, rounds=5, iterations=1
+    )
+
+
+def test_family_search_eager_s_pair4_reference(benchmark):
+    """Family search on the reference backend: the packed batch is
+    unpacked and simulated run by run (the packed path's fallback)."""
+    from repro.engine import Engine
+
+    def fresh_engine():
+        return (EagerS(epsilon=0.25), PAIR, 4), {
+            "engine": Engine(backend="reference")
+        }
+
+    benchmark.pedantic(
+        family_search, setup=fresh_engine, rounds=5, iterations=1
     )
 
 
