@@ -21,6 +21,9 @@ class TestFamilyShapes:
         assert CHAIN_CUTS.runs(pair, 4)
         assert CHAIN_CUTS.runs(path3, 4) == []
 
+    def test_chain_cuts_need_the_two_generals_link(self):
+        assert CHAIN_CUTS.runs(Topology.from_edges(2, []), 3) == []
+
     def test_chain_cuts_cover_all_breaks(self, pair):
         runs = CHAIN_CUTS.runs(pair, 4)
         # 3 input variants x (unbroken + 4 break rounds).
